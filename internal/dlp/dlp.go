@@ -9,7 +9,9 @@
 // by transforming to a dual min-cost-flow problem (Eqn. 15/16 and Fig. 6
 // of the paper) and reading the solution off the optimal node potentials.
 // The constraint matrix is totally unimodular, so the LP optimum is
-// integral and the ILP is solved exactly.
+// integral and the ILP is solved exactly. Of the optimal solutions, the
+// componentwise-smallest one is returned (see mcf.Workspace.Canonicalize), so every
+// min-cost-flow backend yields the same x.
 package dlp
 
 import (
@@ -114,29 +116,28 @@ func NetworkSimplex(g *mcf.Graph) (*mcf.Result, error) { return g.SolveNetworkSi
 // dense general-purpose simplex — are interchangeable (the constraint
 // matrix is totally unimodular, so all return integral optima) and exist
 // so the engine can be benchmarked per backend, reproducing the paper's
-// §3.3.3 dual-MCF-beats-LP claim end to end.
+// §3.3.3 dual-MCF-beats-LP claim end to end. Both min-cost-flow backends
+// return the same canonical x; the dense simplex may return another
+// optimal vertex.
 //
 // The context propagates cancellation into the solve: the SSP backend
-// checks it mid-augmentation, the one-shot backends check it up front. A
+// checks it once per phase and blocking-flow round, the one-shot backends
+// check it up front. A
 // cancelled solve returns an error unwrapping to ctx.Err().
 type PSolver func(ctx context.Context, p *Problem) ([]int64, int64, error)
 
-// ViaSSP solves through the dual min-cost flow with successive shortest
-// paths (the default). Cancellation is honoured mid-solve.
+// ViaSSP solves through the dual min-cost flow with the primal-dual
+// successive-shortest-path solver on a fresh arena — the default
+// algorithm without the per-worker arena reuse. Cancellation is honoured
+// mid-solve.
 func ViaSSP(ctx context.Context, p *Problem) ([]int64, int64, error) {
-	return p.SolveWith(func(g *mcf.Graph) (*mcf.Result, error) {
-		var ws mcf.Workspace
-		out := &mcf.Result{}
-		if err := ws.SolveSSP(ctx, g, false, out); err != nil {
-			return nil, err
-		}
-		return out, nil
-	})
+	return NewWarmSolver().Solve(ctx, p)
 }
 
 // ViaNetworkSimplex solves through the dual min-cost flow with network
-// simplex (the LEMON-style solver the paper used). The underlying solver
-// is one-shot, so cancellation is only checked before it starts.
+// simplex (the LEMON-style solver the paper used), canonicalized to the
+// same x as ViaSSP. The underlying solver is one-shot, so cancellation is
+// only checked before it starts.
 func ViaNetworkSimplex(ctx context.Context, p *Problem) ([]int64, int64, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, 0, err
@@ -145,23 +146,40 @@ func ViaNetworkSimplex(ctx context.Context, p *Problem) ([]int64, int64, error) 
 }
 
 // Solve optimizes the problem via dual min-cost flow using the SSP solver
-// and returns the optimal variable assignment and objective value.
+// and returns the canonical (componentwise-smallest) optimal assignment
+// and its objective value.
 func (p *Problem) Solve() ([]int64, int64, error) { return p.SolveWith(SSP) }
 
 // SolveWith is Solve with an explicit min-cost-flow solver.
-//
-// Construction (following Eqn. 15/16): one flow node per variable plus a
-// reference node 0 pinned at x=0. Each constraint x_i − x_j ≥ b becomes an
-// uncapacitated arc j→i with cost −b; bounds become constraints against
-// the reference node. Node supplies are −c_i (the reference node absorbs
-// +Σc_i so supplies balance). Optimal node potentials y of the flow
-// problem are dual-optimal for the LP, and x_i = y_i − y_0.
 func (p *Problem) SolveWith(solve Solver) ([]int64, int64, error) {
 	if err := p.validate(); err != nil {
 		return nil, 0, err
 	}
+	var g mcf.Graph
+	p.graph(&g)
+	res, err := solve(&g)
+	if err != nil {
+		return nil, 0, dualErr(err)
+	}
+	var ws mcf.Workspace
+	x := make([]int64, p.N())
+	obj, err := p.readX(&ws, &g, res, x)
+	if err != nil {
+		return nil, 0, err
+	}
+	return x, obj, nil
+}
+
+// graph writes p's dual min-cost-flow network into g, following Eqn.
+// 15/16: one flow node per variable plus a reference node 0 pinned at
+// x=0. Each constraint x_i − x_j ≥ b becomes an uncapacitated arc j→i with
+// cost −b; bounds become constraints against the reference node. Node
+// supplies are −c_i (the reference node absorbs +Σc_i so supplies
+// balance). Optimal node potentials y of the flow problem are
+// dual-optimal for the LP, and x_i = y_i − y_0. p must be valid.
+func (p *Problem) graph(g *mcf.Graph) {
 	n := len(p.C)
-	g := mcf.NewGraph(n + 1) // node 0 = reference, node i+1 = variable i
+	g.Reset(n + 1) // node 0 = reference, node i+1 = variable i
 
 	var sumC int64
 	for i, c := range p.C {
@@ -171,7 +189,8 @@ func (p *Problem) SolveWith(solve Solver) ([]int64, int64, error) {
 	g.SetSupply(0, sumC)
 
 	for _, c := range p.Cons {
-		// x_I − x_J ≥ B  →  arc J→I, cost −B.
+		// x_I − x_J ≥ B  →  arc J→I, cost −B. Endpoints are in range by
+		// validate; a failure here is surfaced by the solver via Graph.Err.
 		g.AddArc(c.J+1, c.I+1, mcf.InfCap, -c.B)
 	}
 	for i := 0; i < n; i++ {
@@ -180,28 +199,35 @@ func (p *Problem) SolveWith(solve Solver) ([]int64, int64, error) {
 		// x_0 − x_i ≥ −Hi[i] →  arc i→0, cost Hi[i].
 		g.AddArc(i+1, 0, mcf.InfCap, p.Hi[i])
 	}
+}
 
-	res, err := solve(g)
-	if err != nil {
-		if errors.Is(err, mcf.ErrUnbounded) || errors.Is(err, mcf.ErrInfeasible) {
-			// An unbounded dual (negative residual cycle) means the primal
-			// difference constraints are inconsistent with the bounds.
-			return nil, 0, fmt.Errorf("%w: %v", ErrInfeasible, err)
-		}
-		return nil, 0, err
+// dualErr maps a min-cost-flow failure onto the LP's error taxonomy.
+func dualErr(err error) error {
+	if errors.Is(err, mcf.ErrUnbounded) || errors.Is(err, mcf.ErrInfeasible) {
+		// An unbounded dual (negative residual cycle) means the primal
+		// difference constraints are inconsistent with the bounds.
+		return fmt.Errorf("%w: %v", ErrInfeasible, err)
 	}
+	return err
+}
 
-	x := make([]int64, n)
-	y0 := res.Potential[0]
+// readX writes the canonical LP answer of the optimal flow res on g into
+// x and returns its objective. Canonicalization (through ws's arena) makes
+// y_0 = 0 and x the componentwise-smallest optimum: x_i = −dist(0→i) in
+// the residual graph of the optimal flow.
+func (p *Problem) readX(ws *mcf.Workspace, g *mcf.Graph, res *mcf.Result, x []int64) (int64, error) {
+	if err := ws.Canonicalize(g, res, 0); err != nil {
+		return 0, fmt.Errorf("dlp: internal error, solver returned a non-optimal flow: %w", err)
+	}
 	var obj int64
-	for i := 0; i < n; i++ {
-		x[i] = res.Potential[i+1] - y0
+	for i := range x {
+		x[i] = res.Potential[i+1]
 		obj += p.C[i] * x[i]
 	}
 	if err := p.Check(x); err != nil {
-		return nil, 0, fmt.Errorf("dlp: internal error, solver produced invalid solution: %v", err)
+		return 0, fmt.Errorf("dlp: internal error, solver produced invalid solution: %v", err)
 	}
-	return x, obj, nil
+	return obj, nil
 }
 
 // Check verifies that x satisfies all bounds and constraints.

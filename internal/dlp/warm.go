@@ -2,45 +2,34 @@ package dlp
 
 import (
 	"context"
-	"errors"
-	"fmt"
 
 	"dummyfill/internal/mcf"
 )
 
-// WarmSolver solves a sequence of related difference-constraint problems,
-// reusing one min-cost-flow graph arena and carrying node potentials from
-// solve to solve. The alternating-direction sizing loop (§3.3) produces
-// exactly this workload: consecutive passes solve near-identical LPs, so
-// the previous pass's dual solution is usually still feasible — the solver
-// then skips the Bellman-Ford initialization and goes straight to Dijkstra
-// augmentation over reduced costs, and in steady state performs no
-// allocations beyond the returned solution buffer.
-//
-// The warm-start contract: Solve may be called with problems of any shape;
-// carried potentials are validated in O(m) against the new instance and
-// silently discarded when stale (different variable count or no longer
-// dual-feasible), so warm starting is a pure optimization — results are
-// bit-for-bit the optima of each instance in isolation. The returned
-// solution slice is reused by the next Solve call; callers that retain it
-// must copy.
+// WarmSolver solves a sequence of difference-constraint problems through
+// one reusable min-cost-flow arena: the graph, the solver workspace, the
+// flow result and the solution buffer carry over from solve to solve, so
+// the alternating-direction sizing loop (§3.3) performs no allocations in
+// steady state. Nothing else carries over — every solve starts from its
+// own instance, and the result is bit-for-bit the canonical optimum of
+// that instance in isolation. The returned solution slice is reused by the
+// next Solve call; callers that retain it must copy.
 //
 // A WarmSolver is not safe for concurrent use; give each worker its own.
 type WarmSolver struct {
-	g      mcf.Graph
-	ws     mcf.Workspace
-	res    mcf.Result
-	x      []int64
-	warmed bool
-	lastN  int
+	g   mcf.Graph
+	ws  mcf.Workspace
+	res mcf.Result
+	x   []int64
 }
 
-// NewWarmSolver returns an empty warm-startable solver.
+// NewWarmSolver returns a solver with an empty arena.
 func NewWarmSolver() *WarmSolver { return &WarmSolver{} }
 
 // NewWarmSSP returns a PSolver backed by a fresh WarmSolver — the factory
-// used by the fill engine to give each window worker its own reusable
-// solver state.
+// used by the fill engine to give each window worker its own solver. The
+// arena carries over between the windows a worker sizes; node potentials
+// do not.
 func NewWarmSSP() PSolver { return NewWarmSolver().Solve }
 
 // Solve optimizes p exactly like Problem.Solve, but through the reusable
@@ -50,58 +39,18 @@ func (s *WarmSolver) Solve(ctx context.Context, p *Problem) ([]int64, int64, err
 	if err := p.validate(); err != nil {
 		return nil, 0, err
 	}
-	n := len(p.C)
-	s.g.Reset(n + 1) // node 0 = reference, node i+1 = variable i
-
-	var sumC int64
-	for i, c := range p.C {
-		s.g.SetSupply(i+1, -c)
-		sumC += c
+	p.graph(&s.g)
+	if err := s.ws.SolveSSP(ctx, &s.g, &s.res); err != nil {
+		return nil, 0, dualErr(err)
 	}
-	s.g.SetSupply(0, sumC)
-
-	for _, c := range p.Cons {
-		// x_I − x_J ≥ B  →  arc J→I, cost −B. Endpoints are in range by
-		// validate; a failure here is surfaced by the solver via Graph.Err.
-		s.g.AddArc(c.J+1, c.I+1, mcf.InfCap, -c.B)
-	}
-	for i := 0; i < n; i++ {
-		// x_i − x_0 ≥ Lo[i]  →  arc 0→i, cost −Lo[i].
-		s.g.AddArc(0, i+1, mcf.InfCap, -p.Lo[i])
-		// x_0 − x_i ≥ −Hi[i] →  arc i→0, cost Hi[i].
-		s.g.AddArc(i+1, 0, mcf.InfCap, p.Hi[i])
-	}
-
-	warm := s.warmed && s.lastN == n+1
-	err := s.ws.SolveSSP(ctx, &s.g, warm, &s.res)
-	if err != nil {
-		s.warmed = false
-		if errors.Is(err, mcf.ErrUnbounded) || errors.Is(err, mcf.ErrInfeasible) {
-			// An unbounded dual (negative residual cycle) means the primal
-			// difference constraints are inconsistent with the bounds.
-			return nil, 0, fmt.Errorf("%w: %v", ErrInfeasible, err)
-		}
-		return nil, 0, err
-	}
-	s.warmed = true
-	s.lastN = n + 1
-
+	n := p.N()
 	if cap(s.x) < n {
 		s.x = make([]int64, n)
 	}
 	s.x = s.x[:n]
-	y0 := s.res.Potential[0]
-	var obj int64
-	for i := 0; i < n; i++ {
-		s.x[i] = s.res.Potential[i+1] - y0
-		obj += p.C[i] * s.x[i]
-	}
-	if err := p.Check(s.x); err != nil {
-		return nil, 0, fmt.Errorf("dlp: internal error, solver produced invalid solution: %v", err)
+	obj, err := p.readX(&s.ws, &s.g, &s.res, s.x)
+	if err != nil {
+		return nil, 0, err
 	}
 	return s.x, obj, nil
 }
-
-// Reset drops the carried warm-start state (potentials stay allocated but
-// are revalidated from scratch on the next Solve).
-func (s *WarmSolver) Reset() { s.warmed = false }

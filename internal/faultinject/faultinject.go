@@ -23,10 +23,11 @@ import (
 type Site uint64
 
 const (
-	// SiteWarmSolve fails the per-worker warm-started MCF solve, forcing
-	// the engine onto the cold SPFA tier.
+	// SiteWarmSolve fails the per-worker MCF solve, forcing the engine
+	// onto the network-simplex tier.
 	SiteWarmSolve Site = iota + 1
-	// SiteColdSolve fails the cold SSP solve, forcing the dense simplex.
+	// SiteColdSolve fails the network-simplex MCF tier, forcing the dense
+	// simplex.
 	SiteColdSolve
 	// SiteSimplexSolve fails the dense-simplex tier, exhausting the solver
 	// chain and forcing no-shrink degradation.

@@ -22,8 +22,9 @@ type Health struct {
 	Sized int `json:"sized"`
 	// Skipped counts windows with no selected candidates (nothing to size).
 	Skipped int `json:"skipped,omitempty"`
-	// FallbackCold counts sized windows that needed the cold SPFA tier
-	// after the warm-started solver failed.
+	// FallbackCold counts sized windows that needed the second solver
+	// tier (network-simplex MCF) after the per-worker MCF solver failed.
+	// The name predates that tier; it is kept for JSON and /metrics.
 	FallbackCold int `json:"fallback_cold,omitempty"`
 	// FallbackSimplex counts sized windows that fell through to the dense
 	// simplex tier.

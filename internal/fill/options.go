@@ -50,11 +50,10 @@ type Options struct {
 	// studies. Leave nil to use NewSolver (the default).
 	Solver dlp.PSolver
 	// NewSolver supplies a fresh LP solver per worker, letting stateful
-	// solvers carry warm-start state across the windows a worker sizes
-	// without any cross-worker sharing. DefaultOptions uses
-	// dlp.NewWarmSSP, the warm-started dual min-cost-flow solver; a
-	// non-nil Solver takes precedence (it is assumed stateless and safe
-	// for concurrent use).
+	// solvers reuse buffers across the windows a worker sizes without any
+	// cross-worker sharing. DefaultOptions uses dlp.NewWarmSSP, the dual
+	// min-cost-flow solver with a per-worker arena; a non-nil Solver takes
+	// precedence (it is assumed stateless and safe for concurrent use).
 	NewSolver func() dlp.PSolver
 	// Workers bounds window-level parallelism (0 = GOMAXPROCS).
 	Workers int

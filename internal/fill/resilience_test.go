@@ -303,8 +303,10 @@ func (c *countdownCtx) Err() error {
 
 // TestRunContextCancelsAtEveryPhaseBoundary sweeps the cancellation point
 // across all context checks of a serial run. Every prefix must abort with
-// context.Canceled and no Result; once the sweep passes the total number
-// of checks, the run completes normally.
+// context.Canceled and no Result; once the sweep reaches the total number
+// of checks, the run completes normally. The sweep strides through the
+// prefixes and always visits total and total+1 explicitly, so both
+// outcomes are covered whatever the stride.
 func TestRunContextCancelsAtEveryPhaseBoundary(t *testing.T) {
 	lay := gradientLayout()
 	opts := DefaultOptions()
@@ -328,20 +330,20 @@ func TestRunContextCancelsAtEveryPhaseBoundary(t *testing.T) {
 		t.Fatalf("expected many context checks across phases, saw %d", total)
 	}
 
-	cancelled, completed := 0, 0
-	for after := int64(0); after <= total+1; after += max(1, total/50) {
-		res, err, _ := run(after)
-		switch {
-		case err == nil && res != nil:
-			completed++
-		case errors.Is(err, context.Canceled) && res == nil:
-			cancelled++
-		default:
-			t.Fatalf("after=%d: res=%v err=%v — partial result or wrong error", after, res != nil, err)
-		}
+	var points []int64
+	for after := int64(0); after < total; after += max(1, total/50) {
+		points = append(points, after)
 	}
-	if cancelled == 0 || completed == 0 {
-		t.Fatalf("sweep did not cover both outcomes: %d cancelled, %d completed", cancelled, completed)
+	points = append(points, total, total+1)
+	for _, after := range points {
+		res, err, _ := run(after)
+		if after < total {
+			if !errors.Is(err, context.Canceled) || res != nil {
+				t.Fatalf("after=%d of %d: res=%v err=%v, want context.Canceled and no Result", after, total, res != nil, err)
+			}
+		} else if err != nil || res == nil {
+			t.Fatalf("after=%d of %d: res=%v err=%v, want a completed run", after, total, res != nil, err)
+		}
 	}
 }
 

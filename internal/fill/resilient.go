@@ -48,7 +48,8 @@ func corruptSolver(base dlp.PSolver) dlp.PSolver {
 }
 
 // sizeWindowResilient sizes one window through the solver fallback chain —
-// warm MCF → cold SPFA → dense simplex → no-shrink degradation — with
+// per-worker MCF → network-simplex MCF → dense simplex → no-shrink
+// degradation — with
 // per-window panic isolation and the soft time budget. Only context
 // cancellation propagates as an error; every other failure degrades the
 // window and is accounted in hc. Decisions are keyed by the window index
@@ -82,7 +83,9 @@ func (e *Engine) sizeWindowResilient(ctx context.Context, k int, w *window, targ
 		solve dlp.PSolver
 	}{
 		{faultinject.SiteWarmSolve, sc.solver()},
-		{faultinject.SiteColdSolve, dlp.ViaSSP},
+		// An independent MCF implementation returning the same canonical
+		// x, so a recovered window is bit-identical to a fault-free one.
+		{faultinject.SiteColdSolve, dlp.ViaNetworkSimplex},
 		{faultinject.SiteSimplexSolve, dlp.ViaSimplexLP},
 	}
 	for t, tier := range tiers {
@@ -94,7 +97,7 @@ func (e *Engine) sizeWindowResilient(ctx context.Context, k int, w *window, targ
 		}
 		solve := tier.solve
 		if t == 0 {
-			// Crash and corruption faults target the warm tier only, so
+			// Crash and corruption faults target the first tier only, so
 			// the chain below it stays available to recover.
 			if inj.Hit(faultinject.SitePanic, key) {
 				solve = panicSolver
@@ -113,14 +116,11 @@ func (e *Engine) sizeWindowResilient(ctx context.Context, k int, w *window, targ
 			}
 			return cs, t == 0, nil
 		}
+		// No solver state survives a panic: the per-worker solver
+		// rebuilds its arena from the graph on every call.
 		var pe *panicError
 		if errors.As(err, &pe) {
 			hc.recovered.Add(1)
-			if t == 0 && e.opts.Solver == nil {
-				// The warm solver's carried state is suspect after a
-				// panic; give this scratch a fresh one for later windows.
-				sc.solve = e.opts.newSolver()
-			}
 		}
 		if cerr := ctx.Err(); cerr != nil {
 			return nil, false, cerr // hard abort: cancellation is not degradable

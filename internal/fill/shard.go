@@ -275,7 +275,7 @@ func (em *shardEmitter) flushLocked(id int) error {
 //     multi-worker path but scoped to the shard's window range.
 //
 // Either way a worker owns one sizing scratch for its whole lifetime, so
-// warm solver state flows window to window as before; the emitted fill
+// its solver arena is reused window to window as before; the emitted fill
 // set is byte-identical across worker counts and shard counts.
 func (e *Engine) sizeAndEmitSharded(ctx context.Context, wins []*window, sh []shard, td []float64, sink Sink, hc *healthCollector, start time.Time, cst *cacheState) error {
 	workers := e.workerCount(len(wins))

@@ -12,8 +12,8 @@ import (
 )
 
 // sizeScratch bundles the reusable per-worker state of window sizing: the
-// LP solver (warm-started across the windows a worker processes when
-// Options.NewSolver is used), the LP arena, the spatial indexes and every
+// LP solver (whose arena is reused across the windows a worker processes
+// when Options.NewSolver is used), the LP arena, the spatial indexes and every
 // per-cell buffer of sizingPass. One worker sizes hundreds of windows over
 // thousands of passes; with the scratch the whole loop performs no
 // steady-state allocation. A sizeScratch is not safe for concurrent use.
@@ -54,7 +54,7 @@ func newSizeScratch(opts Options) *sizeScratch {
 	return &sizeScratch{newSolve: opts.newSolver}
 }
 
-// solver returns the scratch's warm solver, creating it on first use.
+// solver returns the scratch's own solver, creating it on first use.
 func (sc *sizeScratch) solver() dlp.PSolver {
 	if sc.solve == nil {
 		sc.solve = sc.newSolve()
@@ -123,15 +123,14 @@ func indexes(dst []*geom.Index, nl int, bounds geom.Rect) []*geom.Index {
 // targets[l] is the desired fill area (not density) for layer l within
 // this window. Returns the surviving sized fills; the slice aliases the
 // caller-owned scratch and is only valid until the next call with the
-// same scratch. Solving uses the scratch's own (possibly warm-started)
-// solver.
+// same scratch. Solving uses the scratch's own solver.
 func sizeWindowScratch(ctx context.Context, w *window, lay *layout.Layout, targets []int64, opts Options, sc *sizeScratch) ([]cell, error) {
 	return sizeWindowWith(ctx, w, lay, targets, opts, sc, sc.solver())
 }
 
 // sizeWindowWith is sizeWindowScratch with an explicit LP solver — the
 // hook the engine's fallback chain uses to retry a window on a different
-// tier without disturbing the scratch's warm solver.
+// tier without disturbing the scratch's own solver.
 func sizeWindowWith(ctx context.Context, w *window, lay *layout.Layout, targets []int64, opts Options, sc *sizeScratch, solve dlp.PSolver) ([]cell, error) {
 	if len(w.sel) == 0 {
 		return nil, nil

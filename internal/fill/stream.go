@@ -235,7 +235,7 @@ func (e *Engine) produceWindow(ctx context.Context, k int, wins []*window, td []
 // in-flight window always finds buffer space — the stage cannot deadlock.
 //
 // Each worker owns one lazily-initialized sizing scratch for its whole
-// lifetime (the warm solver state flows from window to window), so the
+// lifetime (its solver arena is reused from window to window), so the
 // run creates exactly min(Workers, windows) scratches.
 func (e *Engine) sizeAndEmit(ctx context.Context, wins []*window, td []float64, sink Sink, hc *healthCollector, start time.Time, cst *cacheState) error {
 	nw := len(wins)

@@ -1,8 +1,12 @@
 // Package mcf implements minimum-cost flow on directed graphs with node
 // supplies, arc capacities and (possibly negative) arc costs. It provides
-// two independent solvers — successive shortest paths (SPFA-based, robust
-// to negative costs) and network simplex (the algorithm family used by
-// LEMON, which the paper relied on) — plus solution validation helpers.
+// two independent solvers — a primal-dual successive-shortest-path method
+// (SPFA-initialized potentials, then phases of one multi-source Dijkstra
+// plus a blocking flow over zero-reduced-cost arcs) and network simplex
+// (the algorithm family used by LEMON, which the paper relied on) — plus
+// solution validation helpers and Workspace.Canonicalize, which maps any
+// optimal solution to the unique componentwise-smallest optimal
+// potentials.
 //
 // It is the substrate for the dual min-cost-flow formulation (Eqn. 15/16
 // of the paper) used to size dummy fills.

@@ -280,6 +280,63 @@ func TestCrossValidateSolvers(t *testing.T) {
 	}
 }
 
+// TestCanonicalizeAgreesAcrossSolvers: the two solvers may return
+// different optimal flows and potentials, but canonicalized potentials
+// are unique, remain optimal, and pin the reference node at zero.
+func TestCanonicalizeAgreesAcrossSolvers(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	var ws Workspace
+	solved := 0
+	for it := 0; it < 300; it++ {
+		n := 2 + rng.Intn(10)
+		g := randomInstance(rng, n, rng.Intn(20))
+		r1, err1 := g.SolveSSP()
+		r2, err2 := g.SolveNetworkSimplex()
+		if err1 != nil || err2 != nil {
+			continue
+		}
+		solved++
+		ref := rng.Intn(n)
+		if err := ws.Canonicalize(g, r1, ref); err != nil {
+			t.Fatalf("it %d ssp: %v", it, err)
+		}
+		if err := ws.Canonicalize(g, r2, ref); err != nil {
+			t.Fatalf("it %d ns: %v", it, err)
+		}
+		for v := range r1.Potential {
+			if r1.Potential[v] != r2.Potential[v] {
+				t.Fatalf("it %d: canonical potentials differ: ssp %v, ns %v", it, r1.Potential, r2.Potential)
+			}
+		}
+		if r1.Potential[ref] != 0 {
+			t.Fatalf("it %d: reference potential %d, want 0", it, r1.Potential[ref])
+		}
+		if err := g.VerifyOptimal(r1); err != nil {
+			t.Fatalf("it %d: canonical potentials not optimal: %v", it, err)
+		}
+	}
+	if solved == 0 {
+		t.Fatal("no feasible instances exercised")
+	}
+}
+
+// TestCanonicalizeRejectsNonOptimal: potentials that leave a residual arc
+// with negative reduced cost are reported, not silently canonicalized.
+func TestCanonicalizeRejectsNonOptimal(t *testing.T) {
+	g := NewGraph(3)
+	g.SetSupply(0, 4)
+	g.SetSupply(2, -4)
+	g.AddArc(0, 1, InfCap, 1)
+	g.AddArc(1, 2, InfCap, 1)
+	g.AddArc(0, 2, InfCap, 5)
+	// Flow on the expensive direct arc is feasible but not optimal.
+	res := &Result{Flow: []int64{0, 0, 4}, Potential: []int64{0, -1, -5}, Cost: 20}
+	var ws Workspace
+	if err := ws.Canonicalize(g, res, 0); err == nil {
+		t.Fatal("non-optimal result canonicalized without error")
+	}
+}
+
 func TestLargerCrossValidate(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for it := 0; it < 20; it++ {

@@ -5,21 +5,21 @@ import (
 	"math"
 )
 
-// SolveSSP solves the min-cost flow problem with the successive shortest
-// path algorithm. It is a convenience wrapper over Workspace.SolveSSP with
-// a fresh workspace and no warm start: node potentials are initialized
-// once with SPFA (queue-based Bellman-Ford, so negative arc costs need no
-// pre-transformation), negative residual cycles are cancelled (or reported
-// as ErrUnbounded when uncapacitated), and every augmentation then runs
-// Dijkstra over reduced costs.
+// SolveSSP solves the min-cost flow problem with the primal-dual
+// successive-shortest-path method of Workspace.SolveSSP on a fresh
+// workspace: SPFA initializes the node potentials (so negative arc costs
+// need no pre-transformation), negative residual cycles are cancelled (or
+// reported as ErrUnbounded when uncapacitated), and each phase runs one
+// multi-source Dijkstra over reduced costs followed by a blocking flow
+// over the zero-reduced-cost arcs.
 //
-// Callers solving many related instances should hold a Workspace and call
-// its SolveSSP directly: the arena and potentials carry over, making the
-// steady-state solve allocation-free and often Bellman-Ford-free.
+// Callers solving many instances should hold a Workspace and call its
+// SolveSSP directly: the arena carries over, making the steady-state solve
+// allocation-free.
 func (g *Graph) SolveSSP() (*Result, error) {
 	var ws Workspace
 	out := &Result{}
-	if err := ws.SolveSSP(context.Background(), g, false, out); err != nil {
+	if err := ws.SolveSSP(context.Background(), g, out); err != nil {
 		return nil, err
 	}
 	return out, nil

@@ -2,16 +2,15 @@ package mcf
 
 import (
 	"context"
+	"fmt"
 	"math"
 )
 
 // Workspace is a reusable min-cost-flow solver state: the residual-graph
-// arena, the shortest-path buffers and the node potentials of the last
-// solve. Reusing one Workspace across many solves of similarly-sized
-// problems keeps the hot path allocation-free, and consecutive solves of
-// near-identical instances can warm-start from the carried potentials
-// (skipping the Bellman-Ford initialization entirely when they are still
-// dual-feasible).
+// arena plus the shortest-path, level-graph and DFS buffers. Reusing one
+// Workspace across many solves of similarly-sized problems keeps the hot
+// path allocation-free. No solution state carries from one solve to the
+// next: every solve rebuilds the residual graph from its input.
 //
 // A Workspace is not safe for concurrent use; give each goroutine its own.
 // The zero value is ready to use.
@@ -25,10 +24,10 @@ type Workspace struct {
 
 	excess  []int64
 	dist    []int64
-	pot     []int64 // potentials carried across solves (warm-start seed)
+	pot     []int64
 	prevArc []int
 
-	// SPFA state.
+	// SPFA state; queue doubles as the level-graph BFS queue.
 	inQueue  []bool
 	relaxCnt []int32
 	queue    []int
@@ -36,7 +35,25 @@ type Workspace struct {
 	// Dijkstra state.
 	heap    []heapEntry
 	visited []bool
+
+	// Blocking-flow state: BFS level per node (-1 = unreached or dead
+	// end), current arc per node, and the arc stack of the DFS path.
+	level []int32
+	cur   []int
+	path  []int
+
+	stats Stats
 }
+
+// Stats counts the work of the last SolveSSP call on a Workspace. The
+// counts are deterministic functions of the input graph.
+type Stats struct {
+	Phases   int // Dijkstra potential updates
+	Augments int // augmenting paths
+}
+
+// Stats returns the work counters of the last SolveSSP call.
+func (ws *Workspace) Stats() Stats { return ws.stats }
 
 type heapEntry struct {
 	dist int64
@@ -53,7 +70,9 @@ func (ws *Workspace) grow(n, m int) {
 	ws.first = growInt(ws.first, n)
 	ws.excess = growI64(ws.excess, n)
 	ws.dist = growI64(ws.dist, n)
+	ws.pot = growI64(ws.pot, n)
 	ws.prevArc = growInt(ws.prevArc, n)
+	ws.cur = growInt(ws.cur, n)
 	if cap(ws.inQueue) < n {
 		ws.inQueue = make([]bool, n)
 	}
@@ -66,8 +85,13 @@ func (ws *Workspace) grow(n, m int) {
 		ws.visited = make([]bool, n)
 	}
 	ws.visited = ws.visited[:n]
+	if cap(ws.level) < n {
+		ws.level = make([]int32, n)
+	}
+	ws.level = ws.level[:n]
 	ws.queue = ws.queue[:0]
 	ws.heap = ws.heap[:0]
+	ws.path = ws.path[:0]
 }
 
 func growI64(s []int64, n int) []int64 {
@@ -84,120 +108,82 @@ func growInt(s []int, n int) []int {
 	return s[:n]
 }
 
-// ctxCheckStride is how many augmentations (or SPFA scan rounds) pass
-// between cancellation checks — frequent enough that a cancelled solve
-// returns within microseconds, rare enough to stay off the profile.
-const ctxCheckStride = 64
+// load builds the residual graph of g carrying flow (nil = zero flow)
+// into the arena and sets every node's excess to its supply.
+func (ws *Workspace) load(g *Graph, flow []int64) {
+	n, m := len(g.supply), len(g.arcs)
+	ws.grow(n, m)
+	for i := 0; i < n; i++ {
+		ws.first[i] = -1
+	}
+	for i, a := range g.arcs {
+		var f int64
+		if flow != nil {
+			f = flow[i]
+		}
+		fw, bw := 2*i, 2*i+1
+		ws.res[fw], ws.res[bw] = a.Cap-f, f
+		ws.head[fw], ws.head[bw] = a.To, a.From
+		ws.cost[fw], ws.cost[bw] = a.Cost, -a.Cost
+		ws.next[fw] = ws.first[a.From]
+		ws.first[a.From] = fw
+		ws.next[bw] = ws.first[a.To]
+		ws.first[a.To] = bw
+	}
+	copy(ws.excess, g.supply)
+}
 
-// SolveSSP solves g by successive shortest paths into out, reusing the
-// workspace buffers. When warm is true and the potentials left by the
-// previous solve are still dual-feasible for g (checked in O(m)), the
-// Bellman-Ford initialization is skipped and every augmentation runs
-// Dijkstra on reduced costs directly.
+// SolveSSP solves g into out with a primal-dual successive-shortest-path
+// method, reusing the workspace buffers. Potentials are initialized once
+// with SPFA (queue-based Bellman-Ford, so negative arc costs need no
+// pre-transformation); negative residual cycles are cancelled, or reported
+// as ErrUnbounded when uncapacitated. Each phase then runs one
+// multi-source Dijkstra from every excess node over reduced costs, shifts
+// the potentials by the distances so every shortest path has zero reduced
+// cost, and saturates the zero-reduced-cost (admissible) subgraph with a
+// Dinic-style blocking flow from the excess nodes to the deficit nodes.
+// Sizing LPs finish in about one phase.
 //
-// The context is honoured mid-solve: cancellation is checked every
-// ctxCheckStride augmentations, so a runaway instance can be abandoned
-// promptly. A cancelled solve returns a SolverError unwrapping to
-// ctx.Err() and leaves no usable warm-start state.
+// The context is honoured mid-solve: cancellation is checked once per
+// phase and once per blocking-flow round, so a runaway instance can be
+// abandoned promptly. A cancelled solve returns a SolverError unwrapping
+// to ctx.Err().
 //
 // out's slices are resized in place, so a caller that reuses one Result
 // across solves performs no allocations in steady state.
-func (ws *Workspace) SolveSSP(ctx context.Context, g *Graph, warm bool, out *Result) error {
+func (ws *Workspace) SolveSSP(ctx context.Context, g *Graph, out *Result) error {
 	if err := g.checkSolvable(); err != nil {
 		return err
 	}
 	n := len(g.supply)
 	m := len(g.arcs)
-	ws.grow(n, m)
-
-	for i := 0; i < n; i++ {
-		ws.first[i] = -1
+	ws.load(g, nil)
+	ws.stats = Stats{}
+	if err := ws.initPotentials(ctx, n); err != nil {
+		return err
 	}
-	for i, a := range g.arcs {
-		f, b := 2*i, 2*i+1
-		ws.res[f], ws.res[b] = a.Cap, 0
-		ws.head[f], ws.head[b] = a.To, a.From
-		ws.cost[f], ws.cost[b] = a.Cost, -a.Cost
-		ws.next[f] = ws.first[a.From]
-		ws.first[a.From] = f
-		ws.next[b] = ws.first[a.To]
-		ws.first[a.To] = b
-	}
-	copy(ws.excess, g.supply)
 
-	// Potential initialization. A warm seed is usable iff every residual
-	// arc has non-negative reduced cost under it (the flow is zero, so the
-	// residual arcs are exactly the forward arcs). Otherwise fall back to
-	// Bellman-Ford from a virtual source, cancelling any finite negative
-	// cycles on the way (an InfCap-bottleneck cycle means unbounded).
-	warmOK := warm && len(ws.pot) == n
-	if warmOK {
-		for i, a := range g.arcs {
-			if ws.res[2*i] > 0 && a.Cost-ws.pot[a.From]+ws.pot[a.To] < 0 {
-				warmOK = false
-				break
-			}
+	for ws.hasExcess(n) {
+		if err := ctx.Err(); err != nil {
+			return &SolverError{Op: "ssp", Err: err}
 		}
-	}
-	if !warmOK {
-		ws.pot = growI64(ws.pot, n)
-		if err := ws.initPotentials(ctx, n); err != nil {
+		if err := ws.reprice(n); err != nil {
 			return err
 		}
-	} else {
-		ws.pot = ws.pot[:n]
-	}
-
-	// Successive shortest paths: repeatedly send flow from an excess node
-	// to its nearest deficit node along a shortest path in reduced costs.
-	src := 0
-	augment := 0
-	for {
-		for src < n && ws.excess[src] <= 0 {
-			src++
-		}
-		if src == n {
-			break
-		}
-		if augment++; augment%ctxCheckStride == 0 {
+		ws.stats.Phases++
+		for {
 			if err := ctx.Err(); err != nil {
 				return &SolverError{Op: "ssp", Err: err}
 			}
-		}
-		sink, err := ws.dijkstra(n, src)
-		if err != nil {
-			return err
-		}
-		dt := ws.dist[sink]
-		// Potential update keeps all residual reduced costs non-negative
-		// and zeroes them along the augmenting path.
-		for v := 0; v < n; v++ {
-			d := ws.dist[v]
-			if d > dt {
-				d = dt
+			if !ws.levels(n) {
+				break
 			}
-			ws.pot[v] -= d
-		}
-		// Bottleneck along the path, then augment.
-		amt := ws.excess[src]
-		if -ws.excess[sink] < amt {
-			amt = -ws.excess[sink]
-		}
-		for v := sink; v != src; {
-			e := ws.prevArc[v]
-			if ws.res[e] < amt {
-				amt = ws.res[e]
+			for s := 0; s < n; s++ {
+				if ws.excess[s] > 0 {
+					ws.blockingFrom(s)
+				}
 			}
-			v = ws.head[e^1]
 		}
-		for v := sink; v != src; {
-			e := ws.prevArc[v]
-			ws.res[e] -= amt
-			ws.res[e^1] += amt
-			v = ws.head[e^1]
-		}
-		ws.excess[src] -= amt
-		ws.excess[sink] += amt
 	}
 
 	// Extract flows and potentials into out, reusing its slices.
@@ -213,9 +199,200 @@ func (ws *Workspace) SolveSSP(ctx context.Context, g *Graph, warm bool, out *Res
 	return nil
 }
 
-// Potentials returns the node potentials carried from the last solve (the
-// warm-start seed). The slice aliases workspace state; do not modify.
-func (ws *Workspace) Potentials() []int64 { return ws.pot }
+func (ws *Workspace) hasExcess(n int) bool {
+	for v := 0; v < n; v++ {
+		if ws.excess[v] > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// reprice runs Dijkstra over reduced costs from every excess node at once,
+// without early exit, and lowers each potential by its distance (capped at
+// the largest finite one for unreached nodes). Residual reduced costs stay
+// non-negative and every shortest path becomes admissible. It returns
+// ErrInfeasible when no deficit node is reachable.
+func (ws *Workspace) reprice(n int) error {
+	const inf = math.MaxInt64
+	ws.heap = ws.heap[:0]
+	for v := 0; v < n; v++ {
+		ws.visited[v] = false
+		ws.dist[v] = inf
+		if ws.excess[v] > 0 {
+			ws.dist[v] = 0
+			ws.heapPush(heapEntry{0, v})
+		}
+	}
+	maxDist, err := ws.dijkstra(ws.pot)
+	if err != nil {
+		return err
+	}
+	reached := false
+	for v := 0; v < n; v++ {
+		reached = reached || (ws.visited[v] && ws.excess[v] < 0)
+		ws.pot[v] -= min(ws.dist[v], maxDist)
+	}
+	if !reached {
+		return ErrInfeasible
+	}
+	return nil
+}
+
+// dijkstra drains the heap seeded by the caller, relaxing residual arcs by
+// their reduced cost under pot and marking finalized nodes visited. It
+// returns the largest finalized distance, or an error if some residual
+// arc out of a finalized node has a negative reduced cost (pot is not
+// dual-feasible).
+func (ws *Workspace) dijkstra(pot []int64) (int64, error) {
+	var maxDist int64
+	for len(ws.heap) > 0 {
+		it := ws.heapPop()
+		u := it.node
+		if ws.visited[u] || it.dist > ws.dist[u] {
+			continue
+		}
+		ws.visited[u] = true
+		du := ws.dist[u]
+		maxDist = du
+		pu := pot[u]
+		for e := ws.first[u]; e != -1; e = ws.next[e] {
+			if ws.res[e] <= 0 {
+				continue
+			}
+			v := ws.head[e]
+			rc := ws.cost[e] - pu + pot[v]
+			if rc < 0 {
+				return 0, fmt.Errorf("mcf: residual arc %d->%d has reduced cost %d < 0", u, v, rc)
+			}
+			if ws.visited[v] {
+				continue
+			}
+			if nd := du + rc; nd < ws.dist[v] {
+				ws.dist[v] = nd
+				ws.heapPush(heapEntry{nd, v})
+			}
+		}
+	}
+	return maxDist, nil
+}
+
+// admissible reports whether residual arc e out of u has spare capacity
+// and zero reduced cost.
+func (ws *Workspace) admissible(u, e int) bool {
+	return ws.res[e] > 0 && ws.cost[e]-ws.pot[u]+ws.pot[ws.head[e]] == 0
+}
+
+// levels labels every node with its BFS depth from the excess nodes over
+// admissible arcs, resets the current-arc pointers, and reports whether a
+// deficit node was reached.
+func (ws *Workspace) levels(n int) bool {
+	q := ws.queue[:0]
+	for v := 0; v < n; v++ {
+		ws.cur[v] = ws.first[v]
+		ws.level[v] = -1
+		if ws.excess[v] > 0 {
+			ws.level[v] = 0
+			q = append(q, v)
+		}
+	}
+	found := false
+	for qi := 0; qi < len(q); qi++ {
+		u := q[qi]
+		if ws.excess[u] < 0 {
+			found = true
+		}
+		for e := ws.first[u]; e != -1; e = ws.next[e] {
+			if v := ws.head[e]; ws.level[v] < 0 && ws.admissible(u, e) {
+				ws.level[v] = ws.level[u] + 1
+				q = append(q, v)
+			}
+		}
+	}
+	ws.queue = q
+	return found
+}
+
+// blockingFrom pushes s's excess down the level graph to deficit nodes
+// with current-arc DFS, one augmenting path at a time, until s is drained
+// or no level path from it remains. Dead ends leave the level graph.
+func (ws *Workspace) blockingFrom(s int) {
+	for ws.excess[s] > 0 {
+		ws.path = ws.path[:0]
+		u := s
+		for ws.excess[u] >= 0 { // until u is a deficit node
+			e := ws.cur[u]
+			for ; e != -1; e = ws.next[e] {
+				if v := ws.head[e]; ws.level[v] == ws.level[u]+1 && ws.admissible(u, e) {
+					break
+				}
+			}
+			ws.cur[u] = e
+			if e != -1 {
+				ws.path = append(ws.path, e)
+				u = ws.head[e]
+				continue
+			}
+			ws.level[u] = -1
+			if u == s {
+				return
+			}
+			last := ws.path[len(ws.path)-1]
+			ws.path = ws.path[:len(ws.path)-1]
+			u = ws.head[last^1]
+			ws.cur[u] = ws.next[ws.cur[u]]
+		}
+		amt := min(ws.excess[s], -ws.excess[u])
+		for _, e := range ws.path {
+			amt = min(amt, ws.res[e])
+		}
+		for _, e := range ws.path {
+			ws.res[e] -= amt
+			ws.res[e^1] += amt
+		}
+		ws.excess[s] -= amt
+		ws.excess[u] += amt
+		ws.stats.Augments++
+	}
+}
+
+// Canonicalize rewrites res.Potential into the canonical optimal
+// potentials of g relative to node ref: pot[v] = −dist(ref→v) in the
+// residual graph of res.Flow. These are the componentwise-smallest optimal
+// potentials with pot[ref] = 0, the same for every optimal flow and every
+// optimal dual a solver may return, so reading an answer off them does not
+// depend on the solver or its tie-breaking. Nodes unreachable from ref are
+// shifted like reprice's unreached nodes.
+//
+// res must be optimal for g: its potentials must give every residual arc a
+// non-negative reduced cost. The distances are computed with one Dijkstra
+// over those reduced costs; a violation is reported as an error. The
+// workspace arena is reused, so the call is allocation-free in steady
+// state.
+func (ws *Workspace) Canonicalize(g *Graph, res *Result, ref int) error {
+	n := len(g.supply)
+	if len(res.Flow) != len(g.arcs) || len(res.Potential) != n || ref < 0 || ref >= n {
+		return fmt.Errorf("mcf: canonicalize: result shape (%d flows, %d potentials, ref %d) does not match graph (%d arcs, %d nodes)",
+			len(res.Flow), len(res.Potential), ref, len(g.arcs), n)
+	}
+	ws.load(g, res.Flow)
+	pot := res.Potential
+	for v := 0; v < n; v++ {
+		ws.visited[v] = false
+		ws.dist[v] = math.MaxInt64
+	}
+	ws.dist[ref] = 0
+	ws.heapPush(heapEntry{0, ref})
+	maxDist, err := ws.dijkstra(pot)
+	if err != nil {
+		return &SolverError{Op: "canonicalize", Err: err}
+	}
+	p0 := pot[ref]
+	for v := 0; v < n; v++ {
+		pot[v] -= p0 + min(ws.dist[v], maxDist)
+	}
+	return nil
+}
 
 // initPotentials runs SPFA from a virtual source reaching every node at
 // distance zero over the (all-forward) residual graph and sets pot = -dist.
@@ -235,7 +412,7 @@ restart:
 		ws.queue = append(ws.queue, i)
 	}
 	for qi := 0; qi < len(ws.queue); qi++ {
-		if qi%(ctxCheckStride*64) == 0 && qi > 0 {
+		if qi%spfaCtxStride == 0 && qi > 0 {
 			if err := ctx.Err(); err != nil {
 				return &SolverError{Op: "ssp", Err: err}
 			}
@@ -272,6 +449,11 @@ restart:
 	}
 	return nil
 }
+
+// spfaCtxStride is how many SPFA queue pops pass between cancellation
+// checks — frequent enough that a cancelled solve returns within
+// microseconds, rare enough to stay off the profile.
+const spfaCtxStride = 4096
 
 // cancelNegativeCycles repeatedly finds a negative-cost cycle in the
 // residual graph via Bellman-Ford with parent tracking and saturates it.
@@ -347,54 +529,6 @@ func (ws *Workspace) cancelNegativeCycles(ctx context.Context, n int) error {
 			}
 		}
 	}
-}
-
-// dijkstra computes shortest distances from src over residual arcs with
-// reduced costs (non-negative by the potential invariant), stopping once
-// the nearest deficit node is finalized. It returns that node or
-// ErrInfeasible if no deficit is reachable. dist holds tentative distances
-// capped usage: unvisited entries beyond the sink's distance are only used
-// via min(dist, dist[sink]) by the caller.
-func (ws *Workspace) dijkstra(n, src int) (int, error) {
-	const inf = math.MaxInt64
-	for i := 0; i < n; i++ {
-		ws.dist[i] = inf
-		ws.visited[i] = false
-		ws.prevArc[i] = -1
-	}
-	ws.heap = ws.heap[:0]
-	ws.dist[src] = 0
-	ws.heapPush(heapEntry{0, src})
-	for len(ws.heap) > 0 {
-		it := ws.heapPop()
-		u := it.node
-		if ws.visited[u] || it.dist > ws.dist[u] {
-			continue
-		}
-		ws.visited[u] = true
-		if ws.excess[u] < 0 {
-			return u, nil
-		}
-		du := ws.dist[u]
-		pu := ws.pot[u]
-		for e := ws.first[u]; e != -1; e = ws.next[e] {
-			if ws.res[e] <= 0 {
-				continue
-			}
-			v := ws.head[e]
-			if ws.visited[v] {
-				continue
-			}
-			// Reduced cost: cost - pot[u] + pot[v] >= 0.
-			nd := du + ws.cost[e] - pu + ws.pot[v]
-			if nd < ws.dist[v] {
-				ws.dist[v] = nd
-				ws.prevArc[v] = e
-				ws.heapPush(heapEntry{nd, v})
-			}
-		}
-	}
-	return 0, ErrInfeasible
 }
 
 func (ws *Workspace) heapPush(it heapEntry) {

@@ -311,6 +311,7 @@ func TestChaosCancelledClientsReleaseSlots(t *testing.T) {
 	wg.Wait()
 
 	waitFor(t, func() bool { return s.adm.queued.Load() == 0 && s.adm.inFlight.Load() == 0 })
+	ts.Close() // wait for the handlers to return their buffers
 	gets, puts := s.PoolBalance()
 	if gets != puts {
 		t.Errorf("pooled output buffers leaked under client cancellation: gets=%d puts=%d", gets, puts)

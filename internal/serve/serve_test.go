@@ -139,6 +139,9 @@ func TestFillEndToEndByteIdentical(t *testing.T) {
 		t.Fatalf("repeat submission: X-Fill-Cache = %q, want hit", got)
 	}
 
+	// A client can read a whole Content-Length body before the handler
+	// returns its buffer; Close waits for every handler to finish.
+	ts.Close()
 	gets, puts := s.PoolBalance()
 	if gets == 0 || gets != puts {
 		t.Fatalf("pooled buffers leaked: gets=%d puts=%d", gets, puts)
@@ -175,6 +178,7 @@ func TestFillRejectsBadRequests(t *testing.T) {
 			t.Errorf("%s: body lacks rejected status: %s", tc.name, body)
 		}
 	}
+	ts.Close() // wait for the handlers to return their buffers
 	if gets, puts := s.PoolBalance(); gets != puts {
 		t.Fatalf("pooled buffers leaked on reject paths: gets=%d puts=%d", gets, puts)
 	}
