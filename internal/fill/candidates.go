@@ -149,7 +149,12 @@ type candScratch struct {
 	wclips  [][]geom.Rect
 	batch   []cell
 	zero    []cell
+	// neighIx indexes the pass-2 neighbour shapes of one (window, layer);
+	// neigh and slabs receive one free piece's overlapping neighbours and
+	// zero-overlay slabs.
+	neighIx *geom.Index
 	neigh   []geom.Rect
+	slabs   []geom.Rect
 }
 
 var candPool = sync.Pool{New: func() any { return new(candScratch) }}
@@ -161,6 +166,9 @@ func (cs *candScratch) layerSlices(nl int, bounds geom.Rect) {
 		cs.selIx = append(cs.selIx[:cap(cs.selIx)], make([]*geom.Index, nl-cap(cs.selIx))...)
 	}
 	cs.selIx = cs.selIx[:nl]
+	if cs.neighIx == nil {
+		cs.neighIx = geom.NewIndex(bounds, 0)
+	}
 	for l := range cs.selIx {
 		if cs.selIx[l] == nil {
 			cs.selIx[l] = geom.NewIndex(bounds, 0)
@@ -307,25 +315,38 @@ func (w *window) selectCandidatesScratch(lay *layout.Layout, dt []float64, lambd
 	// against already-selected same-layer cells are skipped.
 	inset := (lay.Rules.MinSpace + 1) / 2
 	for l := 1; l < nl; l += 2 {
-		neighbors := cs.neigh[:0]
-		collectSel := func(ix *geom.Index) {
-			for i := 0; i < ix.Len(); i++ {
-				neighbors = append(neighbors, ix.Rect(i))
+		// Index the neighbour shapes (selected cells and wire clips of the
+		// layers above and below) once, so each free piece subtracts only
+		// the few that touch it. The difference depends only on the union
+		// of the overlapping holes, not on their order or on holes that
+		// miss the piece, so the slabs are the same as subtracting all.
+		nix := cs.neighIx
+		nix.Reset(w.rect, 0)
+		addNeighbors := func(k int) {
+			for i := 0; i < selIx[k].Len(); i++ {
+				nix.Insert(selIx[k].Rect(i))
+			}
+			for _, r := range cs.wclips[k] {
+				nix.Insert(r)
 			}
 		}
 		if l-1 >= 0 {
-			collectSel(selIx[l-1])
-			neighbors = append(neighbors, cs.wclips[l-1]...)
+			addNeighbors(l - 1)
 		}
 		if l+1 < nl {
-			collectSel(selIx[l+1])
-			neighbors = append(neighbors, cs.wclips[l+1]...)
+			addNeighbors(l + 1)
 		}
-		cs.neigh = neighbors
 		zero := cs.zero[:0]
 		for _, piece := range w.layers[l].free {
+			neighbors := cs.neigh[:0]
+			nix.Query(piece, func(_ int, r geom.Rect) bool {
+				neighbors = append(neighbors, r)
+				return true
+			})
+			cs.neigh = neighbors
 			vertical := piece.H() > piece.W()
-			for _, zr := range geom.DifferenceOriented(piece, neighbors, vertical) {
+			cs.slabs = geom.AppendDifferenceOriented(cs.slabs[:0], piece, neighbors, vertical)
+			for _, zr := range cs.slabs {
 				zero = appendCells(zero, zr.Expand(-inset), l, lay.Rules)
 			}
 		}

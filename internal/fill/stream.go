@@ -170,10 +170,19 @@ func (e *Engine) runPipeline(ctx context.Context, sink Sink) (*Result, error) {
 		return nil, err
 	}
 
+	// A cancelled run emits nothing more: windows already sized and held
+	// in a reorder buffer or a shard segment are dropped, not written, on
+	// every topology.
+	live := SinkFunc(func(k int, fills []layout.Fill) error {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		return sink.EmitWindow(k, fills)
+	})
 	if e.workerCount(len(wins)) <= 1 || len(sh) == 1 {
-		err = e.sizeAndEmit(ctx, wins, plan2.Td, sink, hc, start, cst)
+		err = e.sizeAndEmit(ctx, wins, plan2.Td, live, hc, start, cst)
 	} else {
-		err = e.sizeAndEmitSharded(ctx, wins, sh, plan2.Td, sink, hc, start, cst)
+		err = e.sizeAndEmitSharded(ctx, wins, sh, plan2.Td, live, hc, start, cst)
 	}
 	if err != nil {
 		return nil, err

@@ -77,8 +77,11 @@ func TestRunStreamCancelMidStream(t *testing.T) {
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("RunStream after mid-stream cancel: err = %v, want context.Canceled", err)
 			}
-			if total := lay.Statistics().NumWindows; emitted >= total {
-				t.Fatalf("all %d windows emitted despite cancellation at emit 3", emitted)
+			// Emits are serialized and each one checks the run's context
+			// first, so nothing reaches the sink after the cancelling emit,
+			// not even windows already sized and buffered.
+			if emitted != 3 {
+				t.Fatalf("%d windows emitted, want exactly 3 after cancellation at emit 3", emitted)
 			}
 
 			// Clean rerun on the same engine: canonical order, full output.

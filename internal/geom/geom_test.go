@@ -449,13 +449,3 @@ func BenchmarkUnionArea1000(b *testing.B) {
 		UnionArea(rects)
 	}
 }
-
-func BenchmarkDifference200Holes(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	holes := randRects(rng, 200, 900)
-	w := R(0, 0, 1000, 1000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Difference(w, holes)
-	}
-}

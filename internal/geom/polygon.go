@@ -102,7 +102,7 @@ func (p Polygon) ToRects() ([]Rect, error) {
 		}
 	}
 	slices.Sort(ys)
-	ys = dedup64(ys)
+	ys = slices.Compact(ys)
 
 	type openSlab struct {
 		xl, xh, yl int64

@@ -10,11 +10,19 @@ import (
 // disjoint maximal horizontal slabs, difference (free-space extraction),
 // and pairwise intersection of two rectangle sets.
 //
-// These run in the innermost loops of candidate generation and density
-// accounting, so they are written for zero steady-state allocation: event
-// lists, interval buffers and open-slab stacks live in sync.Pool-backed
-// scratch arenas, and the x-coverage structure maintains its sorted
-// interval list by splicing instead of re-sorting on every update.
+// Every operation is one y-sweep: the open/close events of the input
+// rectangles are sorted by y once, the active x-cover lives in a coverage
+// structure that splices its sorted interval list in place instead of
+// re-sorting, and at each distinct y the sweep reads what it needs off
+// that cover — its length (UnionArea), its intervals (UnionSlabs) or its
+// complement within the window (Difference). Vertically contiguous rows
+// with identical interval sets merge into one slab.
+//
+// These run in the innermost loops of candidate generation, ingest and
+// density accounting, so they are written for zero steady-state
+// allocation: event lists, interval buffers and open-slab stacks live in
+// a sync.Pool-backed scratch arena, and the Append* forms write into a
+// caller-owned slice.
 
 // sweepEvent is a horizontal-edge event of the y-sweep.
 type sweepEvent struct {
@@ -29,7 +37,7 @@ type openSlab struct {
 	xl, xh, yl int64
 }
 
-// sweepScratch bundles the reusable buffers of one union sweep. Instances
+// sweepScratch bundles the reusable buffers of one sweep. Instances
 // ping-pong through sweepPool so concurrent sweeps never share state.
 type sweepScratch struct {
 	evs        []sweepEvent
@@ -46,13 +54,25 @@ var sweepPool = sync.Pool{New: func() any { return new(sweepScratch) }}
 func (sc *sweepScratch) buildEvents(rects []Rect) []sweepEvent {
 	evs := sc.evs[:0]
 	for _, r := range rects {
-		if r.Empty() {
-			continue
+		if !r.Empty() {
+			evs = appendEvents(evs, r)
 		}
-		evs = append(evs,
-			sweepEvent{r.YL, r.XL, r.XH, +1},
-			sweepEvent{r.YH, r.XL, r.XH, -1})
 	}
+	sortEvents(evs)
+	sc.evs = evs
+	return evs
+}
+
+// appendEvents appends the open and close events of the non-empty r.
+func appendEvents(evs []sweepEvent, r Rect) []sweepEvent {
+	return append(evs,
+		sweepEvent{r.YL, r.XL, r.XH, +1},
+		sweepEvent{r.YH, r.XL, r.XH, -1})
+}
+
+// sortEvents orders events by y. The order within one y does not matter:
+// a sweep applies all of them before it reads the cover.
+func sortEvents(evs []sweepEvent) {
 	slices.SortFunc(evs, func(a, b sweepEvent) int {
 		switch {
 		case a.y < b.y:
@@ -62,8 +82,28 @@ func (sc *sweepScratch) buildEvents(rects []Rect) []sweepEvent {
 		}
 		return 0
 	})
-	sc.evs = evs
-	return evs
+}
+
+// flushRow starts the row at y whose intervals are ivs. If ivs equals
+// the previous row's set the open slabs just grow taller; otherwise they
+// close at y and one new slab opens per interval. Closed slabs are
+// appended to dst.
+func (sc *sweepScratch) flushRow(dst []Rect, y int64, ivs []covIval) []Rect {
+	if sameIvals(sc.prev, ivs) {
+		return dst
+	}
+	for _, s := range sc.open {
+		if y > s.yl {
+			dst = append(dst, Rect{s.xl, s.yl, s.xh, y})
+		}
+	}
+	open := sc.open[:0]
+	for _, iv := range ivs {
+		open = append(open, openSlab{iv.xl, iv.xh, y})
+	}
+	sc.open = open
+	sc.prev = append(sc.prev[:0], ivs...)
+	return dst
 }
 
 // UnionArea returns the exact area covered by the union of rects,
@@ -194,21 +234,34 @@ func (c *coverage) coveredInto(dst []covIval) []covIval {
 	return dst
 }
 
+// complementInto appends to dst[:0] the sorted x-intervals of [xl,xh)
+// with zero coverage. Every covered interval must lie within [xl,xh).
+func (c *coverage) complementInto(dst []covIval, xl, xh int64) []covIval {
+	dst = dst[:0]
+	cur := xl
+	for _, iv := range c.ivals {
+		if iv.xl > cur {
+			dst = append(dst, covIval{cur, iv.xl, 1})
+		}
+		cur = iv.xh
+	}
+	if cur < xh {
+		dst = append(dst, covIval{cur, xh, 1})
+	}
+	return dst
+}
+
 // UnionSlabs decomposes the union of rects into disjoint rectangles
 // (maximal horizontal slabs). The output rectangles are non-overlapping
 // and their total area equals UnionArea(rects).
 func UnionSlabs(rects []Rect) []Rect {
 	sc := sweepPool.Get().(*sweepScratch)
 	evs := sc.buildEvents(rects)
-	if len(evs) == 0 {
-		sweepPool.Put(sc)
-		return nil
-	}
 	cov := &sc.cov
 	cov.reset()
+	sc.open, sc.prev = sc.open[:0], sc.prev[:0]
 	var out []Rect
-	open := sc.open[:0]
-	prev, curr := sc.prev[:0], sc.curr[:0]
+	curr := sc.curr
 	for i := 0; i < len(evs); {
 		y := evs[i].y
 		for i < len(evs) && evs[i].y == y {
@@ -216,23 +269,11 @@ func UnionSlabs(rects []Rect) []Rect {
 			i++
 		}
 		curr = cov.coveredInto(curr)
-		if !sameIvals(prev, curr) {
-			// Close all open slabs at y, open new ones from curr.
-			for _, s := range open {
-				if y > s.yl {
-					out = append(out, Rect{s.xl, s.yl, s.xh, y})
-				}
-			}
-			open = open[:0]
-			for _, iv := range curr {
-				open = append(open, openSlab{iv.xl, iv.xh, y})
-			}
-			prev, curr = curr, prev
-		}
+		out = sc.flushRow(out, y, curr)
 	}
-	// All rects are closed by their own close event, so the active set is
-	// empty here and nothing is left open.
-	sc.open, sc.prev, sc.curr = open, prev, curr
+	// All rects are closed by their own close event, so the cover is empty
+	// after the last event and no slab is left open.
+	sc.curr = curr
 	sweepPool.Put(sc)
 	return out
 }
@@ -249,123 +290,93 @@ func sameIvals(a, b []covIval) bool {
 	return true
 }
 
-// diffScratch bundles the reusable buffers of one Difference call.
-type diffScratch struct {
-	clipped []Rect
-	ys      []int64
-	xs      []covIval
-	free    []covIval
-	prev    []covIval
-	open    []openSlab
-	holesT  []Rect
-}
-
-var diffPool = sync.Pool{New: func() any { return new(diffScratch) }}
-
-// Difference returns window minus the union of holes, decomposed into
-// disjoint rectangles (horizontal slabs). This is the free-space
-// extraction primitive used to derive feasible fill regions.
-func Difference(window Rect, holes []Rect) []Rect {
+// AppendDifference appends window minus the union of holes to dst,
+// decomposed into disjoint maximal horizontal slabs, and returns the
+// extended slice. This is the free-space extraction primitive used to
+// derive feasible fill regions and zero-overlay candidates. Holes that do
+// not overlap the window contribute nothing. With a warmed dst it does
+// not allocate.
+func AppendDifference(dst []Rect, window Rect, holes []Rect) []Rect {
 	if window.Empty() {
-		return nil
+		return dst
 	}
-	sc := diffPool.Get().(*diffScratch)
-	clipped := sc.clipped[:0]
+	sc := sweepPool.Get().(*sweepScratch)
+	dst = sc.appendDifference(dst, window, holes)
+	sweepPool.Put(sc)
+	return dst
+}
+
+// AppendDifferenceOriented is AppendDifference with the slab orientation
+// picked by vertical: true yields maximal vertical slabs, which around
+// vertical wires are far fewer and fatter than horizontal ones.
+func AppendDifferenceOriented(dst []Rect, window Rect, holes []Rect, vertical bool) []Rect {
+	if !vertical {
+		return AppendDifference(dst, window, holes)
+	}
+	if window.Empty() {
+		return dst
+	}
+	sc := sweepPool.Get().(*sweepScratch)
+	// Sweep the transposed problem. Only holes overlapping the window are
+	// transposed; the rest would be clipped away anyway.
+	ht := sc.pieces[:0]
 	for _, h := range holes {
-		c := h.Intersect(window)
-		if !c.Empty() {
-			clipped = append(clipped, c)
+		if c := h.Intersect(window); !c.Empty() {
+			ht = append(ht, c.Transpose())
 		}
 	}
-	sc.clipped = clipped
-	if len(clipped) == 0 {
-		diffPool.Put(sc)
-		return []Rect{window}
+	sc.pieces = ht
+	n := len(dst)
+	dst = sc.appendDifference(dst, window.Transpose(), ht)
+	sweepPool.Put(sc)
+	for i := n; i < len(dst); i++ {
+		dst[i] = dst[i].Transpose()
 	}
-	// Sweep rows between consecutive y boundaries; in each row compute the
-	// complement of covered x-intervals, merging vertically-contiguous
-	// identical rows into taller slabs.
-	ys := sc.ys[:0]
-	ys = append(ys, window.YL, window.YH)
-	for _, h := range clipped {
-		ys = append(ys, h.YL, h.YH)
-	}
-	slices.Sort(ys)
-	ys = dedup64(ys)
-	sc.ys = ys
-
-	open := sc.open[:0]
-	prevFree := sc.prev[:0]
-	var out []Rect
-	flush := func(y int64, free []covIval) {
-		if sameIvals(prevFree, free) {
-			return
-		}
-		for _, s := range open {
-			if y > s.yl {
-				out = append(out, Rect{s.xl, s.yl, s.xh, y})
-			}
-		}
-		open = open[:0]
-		for _, iv := range free {
-			open = append(open, openSlab{iv.xl, iv.xh, y})
-		}
-		prevFree = append(prevFree[:0], free...)
-	}
-	for i := 0; i+1 < len(ys); i++ {
-		yl, yh := ys[i], ys[i+1]
-		if yh <= window.YL || yl >= window.YH {
-			continue
-		}
-		// x-intervals covered by holes in this row.
-		xs := sc.xs[:0]
-		for _, h := range clipped {
-			if h.YL <= yl && h.YH >= yh {
-				xs = append(xs, covIval{h.XL, h.XH, 1})
-			}
-		}
-		slices.SortFunc(xs, func(a, b covIval) int {
-			switch {
-			case a.xl < b.xl:
-				return -1
-			case a.xl > b.xl:
-				return 1
-			}
-			return 0
-		})
-		sc.xs = xs
-		// Complement within window x-range.
-		free := sc.free[:0]
-		cur := window.XL
-		for _, iv := range xs {
-			if iv.xl > cur {
-				free = append(free, covIval{cur, iv.xl, 1})
-			}
-			if iv.xh > cur {
-				cur = iv.xh
-			}
-		}
-		if cur < window.XH {
-			free = append(free, covIval{cur, window.XH, 1})
-		}
-		sc.free = free
-		flush(yl, free)
-	}
-	flush(window.YH, nil)
-	sc.open, sc.prev = open, prevFree
-	diffPool.Put(sc)
-	return out
+	return dst
 }
 
-func dedup64(xs []int64) []int64 {
-	out := xs[:0]
-	for i, x := range xs {
-		if i == 0 || x != xs[i-1] {
-			out = append(out, x)
+// appendDifference runs the difference sweep of the non-empty window.
+// The open/close events of the clipped holes are sorted by y once; at
+// each distinct y the complement of the active x-cover within the window
+// is the free interval set of the row starting there, and flushRow merges
+// vertically identical rows into taller slabs.
+func (sc *sweepScratch) appendDifference(dst []Rect, window Rect, holes []Rect) []Rect {
+	evs := sc.evs[:0]
+	for _, h := range holes {
+		if c := h.Intersect(window); !c.Empty() {
+			evs = appendEvents(evs, c)
 		}
 	}
-	return out
+	sc.evs = evs
+	if len(evs) == 0 {
+		return append(dst, window)
+	}
+	sortEvents(evs)
+	cov := &sc.cov
+	cov.reset()
+	sc.open, sc.prev = sc.open[:0], sc.prev[:0]
+	free := sc.curr
+	// Clipped events lie in [window.YL, window.YH]; the ones at window.YH
+	// only close rows that end there.
+	i := 0
+	for y := window.YL; y < window.YH; y = evs[i].y {
+		for i < len(evs) && evs[i].y == y {
+			cov.update(evs[i].xl, evs[i].xh, evs[i].delta)
+			i++
+		}
+		free = cov.complementInto(free, window.XL, window.XH)
+		dst = sc.flushRow(dst, y, free)
+		if i == len(evs) {
+			break
+		}
+	}
+	sc.curr = free
+	return sc.flushRow(dst, window.YH, nil)
 }
+
+// Difference returns window minus the union of holes as horizontal slabs
+// (freshly allocated; nil when nothing is free).
+func Difference(window Rect, holes []Rect) []Rect { return AppendDifference(nil, window, holes) }
 
 // Transpose swaps the axes of r.
 func (r Rect) Transpose() Rect { return Rect{r.YL, r.XL, r.YH, r.XH} }
@@ -380,31 +391,15 @@ func TransposeRects(rs []Rect) []Rect {
 }
 
 // DifferenceVert is Difference with the output decomposed into vertical
-// (maximal-height) slabs instead of horizontal ones. For free-space
-// extraction around vertical wires this yields far fewer, fatter pieces.
+// (maximal-height) slabs instead of horizontal ones.
 func DifferenceVert(window Rect, holes []Rect) []Rect {
-	sc := diffPool.Get().(*diffScratch)
-	ht := sc.holesT[:0]
-	for _, h := range holes {
-		ht = append(ht, h.Transpose())
-	}
-	sc.holesT = ht
-	out := Difference(window.Transpose(), ht)
-	diffPool.Put(sc)
-	// out is freshly allocated by Difference, so transpose in place.
-	for i := range out {
-		out[i] = out[i].Transpose()
-	}
-	return out
+	return AppendDifferenceOriented(nil, window, holes, true)
 }
 
 // DifferenceOriented picks the slab orientation: vertical=true yields
 // vertical slabs.
 func DifferenceOriented(window Rect, holes []Rect, vertical bool) []Rect {
-	if vertical {
-		return DifferenceVert(window, holes)
-	}
-	return Difference(window, holes)
+	return AppendDifferenceOriented(nil, window, holes, vertical)
 }
 
 // IntersectSets returns the disjoint decomposition of the intersection of

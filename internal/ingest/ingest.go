@@ -212,11 +212,16 @@ func ExtractFillRegions(g *grid.Grid, shapes []geom.Rect, rules layout.Rules) []
 	var out []geom.Rect
 	for k := 0; k < g.NumWindows(); k++ {
 		win := g.Window(k%g.NX, k/g.NX)
-		for _, f := range geom.DifferenceOriented(win, perWin[k], vertical) {
+		n := len(out)
+		out = geom.AppendDifferenceOriented(out, win, perWin[k], vertical)
+		// Drop slivers that cannot host a legal fill, in place.
+		kept := out[:n]
+		for _, f := range out[n:] {
 			if f.W() >= rules.MinWidth && f.H() >= rules.MinWidth && f.Area() >= rules.MinArea {
-				out = append(out, f)
+				kept = append(kept, f)
 			}
 		}
+		out = kept
 	}
 	return out
 }

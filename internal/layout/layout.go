@@ -5,6 +5,7 @@ package layout
 
 import (
 	"fmt"
+	"math"
 
 	"dummyfill/internal/geom"
 	"dummyfill/internal/grid"
@@ -83,7 +84,7 @@ func (l *Layout) Validate() error {
 		}
 	}
 	for li, layer := range l.Layers {
-		ix := geom.NewIndex(l.Die, 0)
+		ix := geom.NewIndex(l.Die, wireBin(l.Die, len(layer.Wires)))
 		for _, w := range layer.Wires {
 			if !l.Die.ContainsRect(w) {
 				return fmt.Errorf("layout: layer %d wire %v escapes die %v", li, w, l.Die)
@@ -102,6 +103,16 @@ func (l *Layout) Validate() error {
 		}
 	}
 	return nil
+}
+
+// wireBin sizes the bins of a validation index over n wires on die:
+// about 2·sqrt(dieArea/n), so a bin holds a few wires whatever the
+// layer's density. Without wires it returns 0, the index default.
+func wireBin(die geom.Rect, n int) int64 {
+	if n == 0 {
+		return 0
+	}
+	return max(int64(2*math.Sqrt(float64(die.Area())/float64(n))), 1)
 }
 
 // Grid returns the window dissection of the layout.

@@ -304,12 +304,16 @@ func freeRegions(g *grid.Grid, wires []geom.Rect, rules layout.Rules, vertical b
 	for k := 0; k < g.NumWindows(); k++ {
 		i, j := k%g.NX, k/g.NX
 		win := g.Window(i, j)
-		for _, f := range geom.DifferenceOriented(win, perWin[k], vertical) {
-			// Drop slivers that can never host a legal fill.
+		n := len(out)
+		out = geom.AppendDifferenceOriented(out, win, perWin[k], vertical)
+		// Drop slivers that can never host a legal fill, in place.
+		kept := out[:n]
+		for _, f := range out[n:] {
 			if f.W() >= rules.MinWidth && f.H() >= rules.MinWidth && f.Area() >= rules.MinArea {
-				out = append(out, f)
+				kept = append(kept, f)
 			}
 		}
+		out = kept
 	}
 	return out
 }
