@@ -51,7 +51,8 @@ func run(t *testing.T, bin string, args ...string) string {
 }
 
 // TestCommandPipeline drives the real binaries end to end:
-// layoutgen → fillgen → evalscore → gdscat on the tiny design.
+// layoutgen → fillgen → evalscore → gdscat on the tiny design, plus the
+// layout2svg geometry and heat-map renderings.
 func TestCommandPipeline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries; skipped in -short mode")
@@ -61,6 +62,7 @@ func TestCommandPipeline(t *testing.T) {
 	fillgen := buildTool(t, "fillgen")
 	evalscore := buildTool(t, "evalscore")
 	gdscat := buildTool(t, "gdscat")
+	layout2svg := buildTool(t, "layout2svg")
 
 	gds := filepath.Join(dir, "tiny.gds")
 	out := run(t, layoutgen, "-design", "tiny", "-stats", "-o", gds)
@@ -94,6 +96,22 @@ func TestCommandPipeline(t *testing.T) {
 	out = run(t, fillgen, "-in", gds, "-o", filepath.Join(dir, "ext_fill.gds"))
 	if !strings.Contains(out, "method ours") {
 		t.Fatalf("fillgen -in output: %s", out)
+	}
+
+	for name, args := range map[string][]string{
+		"fill.svg": {"-design", "tiny", "-fill"},
+		"heat.svg": {"-design", "tiny", "-heat", "-layer", "0"},
+	} {
+		svg := filepath.Join(dir, name)
+		run(t, layout2svg, append(args, "-o", svg)...)
+		body, err := os.ReadFile(svg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		doc := strings.TrimSpace(string(body))
+		if !strings.HasPrefix(doc, "<svg") || !strings.HasSuffix(doc, "</svg>") {
+			t.Fatalf("layout2svg %v: not an SVG document (%d bytes)", args, len(body))
+		}
 	}
 }
 

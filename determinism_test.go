@@ -138,9 +138,9 @@ func TestGoldenGDSHashesSharded(t *testing.T) {
 
 // TestInsertStreamShardedDeterministic checks the streaming path under
 // sharding: every (shards, workers) combination must produce a stream
-// byte-identical to the unsharded single-worker reference — the shard
-// emitter's head-ordering hands the sink the exact same strictly
-// increasing window sequence regardless of shard or worker topology.
+// byte-identical to the unsharded single-worker reference — the one
+// reorder buffer hands the sink the exact same strictly increasing window
+// sequence regardless of shard or worker count.
 func TestInsertStreamShardedDeterministic(t *testing.T) {
 	lay, _, err := dummyfill.GenerateBenchmark("tiny")
 	if err != nil {
@@ -151,7 +151,7 @@ func TestInsertStreamShardedDeterministic(t *testing.T) {
 		opts.Workers = workers
 		opts.Shards = shards
 		var buf bytes.Buffer
-		if _, err := dummyfill.InsertStreamGDS(context.Background(), &buf, lay, opts); err != nil {
+		if _, err := dummyfill.InsertStreamTo(context.Background(), &buf, lay, opts, "gds"); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
@@ -180,7 +180,7 @@ func TestInsertStreamGDSDeterministic(t *testing.T) {
 		opts := dummyfill.DefaultOptions()
 		opts.Workers = workers
 		var buf bytes.Buffer
-		if _, err := dummyfill.InsertStreamGDS(context.Background(), &buf, lay, opts); err != nil {
+		if _, err := dummyfill.InsertStreamTo(context.Background(), &buf, lay, opts, "gds"); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()

@@ -155,10 +155,13 @@ func InsertStream(ctx context.Context, lay *Layout, opts Options, sink FillSink)
 // the named format (see Formats), each window's fills emitted as soon as
 // the window clears the reorder buffer. Formats that carry wires (GDSII)
 // get the layout's wires first (datatype 0), then fills (datatype 1);
-// fills-only formats (OASIS, text solutions) get just the fills. The
-// output is deterministic for any Options.Workers value: fills appear in
-// canonical window order. Combined with a streaming reader this bounds
-// peak memory end to end: no stage holds every candidate or sized fill.
+// fills-only formats (OASIS, text solutions) get just the fills. OASIS
+// modal compression then runs over the per-window size grouping instead
+// of WriteOASIS's global size sort: a slightly larger file for bounded
+// memory. The output is deterministic for any Options.Workers and
+// Options.Shards values: fills appear in canonical window order. Combined
+// with a streaming reader this bounds peak memory end to end: no stage
+// holds every candidate or sized fill.
 func InsertStreamTo(ctx context.Context, w io.Writer, lay *Layout, opts Options, format string) (*Result, error) {
 	f, err := layio.Lookup(format)
 	if err != nil {
@@ -206,20 +209,6 @@ func InsertStreamTo(ctx context.Context, w io.Writer, lay *Layout, opts Options,
 		return nil, err
 	}
 	return res, nil
-}
-
-// InsertStreamGDS is InsertStreamTo in GDSII: wires plus fills, like
-// WriteGDS but window-ordered.
-func InsertStreamGDS(ctx context.Context, w io.Writer, lay *Layout, opts Options) (*Result, error) {
-	return InsertStreamTo(ctx, w, lay, opts, gdsii.FormatName)
-}
-
-// InsertStreamOASIS is InsertStreamTo in OASIS: fills only, like
-// WriteOASIS but with modal compression over the natural per-window size
-// grouping instead of the global size sort, trading a slightly larger
-// file for bounded memory.
-func InsertStreamOASIS(ctx context.Context, w io.Writer, lay *Layout, opts Options) (*Result, error) {
-	return InsertStreamTo(ctx, w, lay, opts, oasis.FormatName)
 }
 
 // CheckDRC verifies a solution against the layout's fill rules, including

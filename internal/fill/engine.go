@@ -389,8 +389,9 @@ func (e *Engine) parallelFor(ctx context.Context, n int, fn func(ctx context.Con
 }
 
 // parallelForStage is parallelFor with a pprof stage label: when stage is
-// non-empty, every worker (and the serial path) runs under
-// {"stage": stage} so CPU profiles attribute samples to pipeline stages.
+// non-empty, every worker runs under {"stage": stage} so CPU profiles
+// attribute samples to pipeline stages. One worker runs the same claim
+// loop as many, in a single goroutine.
 func (e *Engine) parallelForStage(ctx context.Context, n int, stage string, fn func(ctx context.Context, idx int) error) error {
 	body := func(ctx context.Context, run func(ctx context.Context)) {
 		if stage == "" {
@@ -400,20 +401,6 @@ func (e *Engine) parallelForStage(ctx context.Context, n int, stage string, fn f
 		pprof.Do(ctx, pprof.Labels("stage", stage), run)
 	}
 	workers := e.workerCount(n)
-	if workers <= 1 {
-		var serr error
-		body(ctx, func(ctx context.Context) {
-			for idx := 0; idx < n; idx++ {
-				if serr = ctx.Err(); serr != nil {
-					return
-				}
-				if serr = fn(ctx, idx); serr != nil {
-					return
-				}
-			}
-		})
-		return serr
-	}
 	wctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var (

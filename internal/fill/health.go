@@ -42,12 +42,13 @@ type Health struct {
 	Elapsed time.Duration `json:"elapsed"`
 	// PeakInFlight is the maximum number of windows resident in the
 	// sizing→emit stage at once (claimed by a worker but not yet released
-	// toward the sink). With shards it is the worst per-shard reorder
-	// buffer occupancy. Like Elapsed it depends on worker scheduling, not
-	// on the input alone.
+	// toward the sink). It never exceeds the one reorder buffer's capacity
+	// (2 per worker, at least 4), whatever the shard count. Like Elapsed
+	// it depends on worker scheduling, not on the input alone.
 	PeakInFlight int `json:"peak_in_flight,omitempty"`
-	// Shards is the number of row-band shards the run planned and emitted
-	// through (1 = unsharded global pass).
+	// Shards is the number of row-band shards the run's density planning
+	// was split into (1 = unsharded global pass). Sizing and emission do
+	// not depend on it.
 	Shards int `json:"shards,omitempty"`
 	// PlanDivergence is the worst absolute target-density gap between any
 	// shard's halo-local planning proposal and the reconciled global
@@ -103,12 +104,12 @@ func (h Health) String() string {
 // healthCollector accumulates Health counters across window workers.
 type healthCollector struct {
 	sized, skipped, cold, simplex, degraded, recovered atomic.Int64
-	peak                                               atomic.Int64
 	cacheErrs                                          atomic.Int64
 	budgetExceeded                                     atomic.Bool
-	// shards, planDivergence and the cache status counts are written only
-	// by the coordinating pipeline goroutine, between parallel phases —
-	// no atomics needed.
+	// peak, shards, planDivergence and the cache status counts are written
+	// only by the coordinating pipeline goroutine, between parallel phases
+	// — no atomics needed.
+	peak           int
 	shards         int
 	planDivergence float64
 	cacheHits      int
@@ -121,16 +122,6 @@ type healthCollector struct {
 func (hc *healthCollector) noteDivergence(d float64) {
 	if d > hc.planDivergence {
 		hc.planDivergence = d
-	}
-}
-
-// notePeak records an observed in-flight peak (max wins).
-func (hc *healthCollector) notePeak(p int) {
-	for {
-		cur := hc.peak.Load()
-		if int64(p) <= cur || hc.peak.CompareAndSwap(cur, int64(p)) {
-			return
-		}
 	}
 }
 
@@ -147,7 +138,7 @@ func (hc *healthCollector) health(windows int, budget, elapsed time.Duration) He
 		BudgetExceeded:  hc.budgetExceeded.Load(),
 		Budget:          budget,
 		Elapsed:         elapsed,
-		PeakInFlight:    int(hc.peak.Load()),
+		PeakInFlight:    hc.peak,
 		Shards:          hc.shards,
 		PlanDivergence:  hc.planDivergence,
 		CacheHits:       hc.cacheHits,

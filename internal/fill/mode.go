@@ -26,9 +26,9 @@ const (
 // geometry-producing decisions to: how free pieces clip into windows,
 // how much fill a piece can hold, how candidates are enumerated, and how
 // a window's selection is sized down to its target areas. Everything
-// else — window preparation, the two planning rounds, the cache, the
-// reorder buffer and the shard emitter — is mode-agnostic, which is what
-// lets a new mode inherit the byte-identical determinism contract.
+// else — window preparation, the two planning rounds, the cache and the
+// size+emit reorder buffer — is mode-agnostic, which is what lets a new
+// mode inherit the byte-identical determinism contract.
 //
 // Implementations must be deterministic functions of window content and
 // engine options: no wall-clock, scheduling or worker-identity inputs

@@ -21,8 +21,8 @@ type Options struct {
 	// space, shrunk continuously by the sizing LP. ModeSite is filler-cell
 	// placement: candidates snap to the layout's placement rows/sites and
 	// widths come from the discrete SiteLib master library; it requires
-	// Layout.Sites. Both modes share the planner, reorder buffer and
-	// emitters, so the byte-identical determinism contract holds for each.
+	// Layout.Sites. Both modes share the planner and the reorder buffer,
+	// so the byte-identical determinism contract holds for each.
 	Mode string
 	// SitePad is the site-mode padding constraint, in sites: fillers keep
 	// at least SitePad empty sites between themselves and any placed cell
@@ -58,14 +58,14 @@ type Options struct {
 	// Workers bounds window-level parallelism (0 = GOMAXPROCS).
 	Workers int
 	// Shards is the number of row-band shards the window grid is split
-	// into for hierarchical density planning and per-shard fill emission
-	// (0 = one per core, capped by the number of window rows). Each shard
-	// assembles its slice of the planning bounds, proposes targets from
-	// its own windows plus a halo ring of neighbour rows, and sizes/emits
-	// its windows through its own reorder buffer; a cheap top-level pass
-	// reconciles the proposals into the global targets. The emitted fill
-	// set is byte-identical for every Shards value — sharding changes the
-	// schedule, never the geometry.
+	// into for hierarchical density planning (0 = one per core, capped by
+	// the number of window rows). Each shard assembles its slice of the
+	// planning bounds and proposes targets from its own windows plus a
+	// halo ring of neighbour rows; a cheap top-level pass reconciles the
+	// proposals into the global targets. Sizing and emission ignore
+	// shards: every window goes through one reorder buffer. The emitted
+	// fill set is byte-identical for every Shards value; only the
+	// planning schedule and Health.PlanDivergence change.
 	Shards int
 	// MinDensity is an optional lower density rule: planned targets are
 	// floored at this value (0 disables). Foundry fill decks typically

@@ -1,13 +1,11 @@
 package fill
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 	"testing"
 
 	"dummyfill/internal/faultinject"
-	"dummyfill/internal/layout"
 )
 
 // TestShardsResolution checks the Options.Shards → band decomposition:
@@ -29,9 +27,6 @@ func TestShardsResolution(t *testing.T) {
 		}
 		next := 0
 		for i, s := range sh {
-			if s.id != i {
-				t.Fatalf("Shards=%d: shard %d has id %d", tc.opt, i, s.id)
-			}
 			if s.k0 != next || s.k1 <= s.k0 {
 				t.Fatalf("Shards=%d: shard %d range [%d,%d), want start %d",
 					tc.opt, i, s.k0, s.k1, next)
@@ -50,122 +45,10 @@ func TestShardsResolution(t *testing.T) {
 	}
 }
 
-// orderSink records the window indices it receives and fails on demand.
-type orderSink struct {
-	ks      []int
-	failAtK int // emit error when this k arrives (-1 = never)
-}
-
-func (s *orderSink) EmitWindow(k int, fills []layout.Fill) error {
-	if s.failAtK >= 0 && k == s.failAtK {
-		return errors.New("sink boom")
-	}
-	s.ks = append(s.ks, k)
-	return nil
-}
-
-// TestShardEmitterCanonicalOrder drives the emitter with shards finishing
-// in adversarial orders and checks the sink always observes the canonical
-// strictly increasing window sequence.
-func TestShardEmitterCanonicalOrder(t *testing.T) {
-	// 4 shards × 3 windows each; emit window k of shard id = 3*id+j.
-	const nShards, perShard = 4, 3
-	finishOrders := [][]int{
-		{0, 1, 2, 3},
-		{3, 2, 1, 0},
-		{2, 0, 3, 1},
-		{1, 3, 0, 2},
-	}
-	for _, order := range finishOrders {
-		sink := &orderSink{failAtK: -1}
-		em := newShardEmitter(sink, nShards)
-		for _, id := range order {
-			for j := 0; j < perShard; j++ {
-				k := id*perShard + j
-				if err := em.emit(id, k, []layout.Fill{{Layer: k}}); err != nil {
-					t.Fatalf("order %v: emit(%d,%d): %v", order, id, k, err)
-				}
-			}
-			if err := em.finish(id); err != nil {
-				t.Fatalf("order %v: finish(%d): %v", order, id, err)
-			}
-		}
-		if len(sink.ks) != nShards*perShard {
-			t.Fatalf("order %v: sink saw %d windows, want %d", order, len(sink.ks), nShards*perShard)
-		}
-		for i, k := range sink.ks {
-			if k != i {
-				t.Fatalf("order %v: sink position %d got window %d", order, i, k)
-			}
-		}
-	}
-}
-
-// TestShardEmitterInterleaved interleaves emissions across unfinished
-// shards: the head shard's windows pass straight through while later
-// shards buffer, and each buffered segment flushes exactly when the head
-// advances onto it.
-func TestShardEmitterInterleaved(t *testing.T) {
-	sink := &orderSink{failAtK: -1}
-	em := newShardEmitter(sink, 3)
-	// Shard 2 and 1 emit before shard 0 has produced anything.
-	for _, step := range []struct{ id, k int }{
-		{2, 20}, {1, 10}, {2, 21}, {0, 0}, {1, 11}, {0, 1},
-	} {
-		if err := em.emit(step.id, step.k, []layout.Fill{{Layer: step.k}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Only the head shard's windows have reached the sink so far.
-	if fmt.Sprint(sink.ks) != "[0 1]" {
-		t.Fatalf("before finishes sink saw %v, want [0 1]", sink.ks)
-	}
-	// Finishing out of order: 2 first (no flush), then 0 (flushes 1's
-	// buffer; 1 still open), then 1 (flushes 2's buffer).
-	if err := em.finish(2); err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprint(sink.ks) != "[0 1]" {
-		t.Fatalf("after finish(2) sink saw %v", sink.ks)
-	}
-	if err := em.finish(0); err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprint(sink.ks) != "[0 1 10 11]" {
-		t.Fatalf("after finish(0) sink saw %v", sink.ks)
-	}
-	if err := em.finish(1); err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprint(sink.ks) != "[0 1 10 11 20 21]" {
-		t.Fatalf("after finish(1) sink saw %v", sink.ks)
-	}
-}
-
-// TestShardEmitterSinkErrorSticks checks a sink failure poisons the
-// emitter: the failing emit returns the error and so does every later
-// emit or finish, from any shard.
-func TestShardEmitterSinkErrorSticks(t *testing.T) {
-	sink := &orderSink{failAtK: 1}
-	em := newShardEmitter(sink, 2)
-	if err := em.emit(0, 0, []layout.Fill{{}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := em.emit(0, 1, []layout.Fill{{}}); err == nil {
-		t.Fatal("sink error not propagated")
-	}
-	if err := em.emit(1, 5, []layout.Fill{{}}); err == nil {
-		t.Fatal("emitter accepted work after sink failure")
-	}
-	if err := em.finish(0); err == nil {
-		t.Fatal("finish succeeded after sink failure")
-	}
-}
-
-// TestShardedRunsByteIdentical runs the engine across the shard × worker
-// topology matrix — serial, chained shards (workers ≤ shards) and
-// per-shard worker groups (workers > shards) — and requires geometrically
-// identical solutions plus correctly reported shard health everywhere.
+// TestShardedRunsByteIdentical runs the engine across the shards ×
+// workers matrix (fewer, as many and more workers than shards) and
+// requires geometrically identical solutions plus correctly reported
+// shard health everywhere.
 func TestShardedRunsByteIdentical(t *testing.T) {
 	ref := runWith(t, 1, func(o *Options) { o.Shards = 1 })
 	if ref.Health.Shards != 1 || ref.Health.PlanDivergence != 0 {
@@ -212,7 +95,7 @@ func TestShardedHealthString(t *testing.T) {
 
 // TestShardedResilience checks fault degradation under sharding: injected
 // solver faults are window-keyed, so the degraded fill set and health
-// counters must match the unsharded run exactly for every topology.
+// counters must match the unsharded run exactly for every shard count.
 func TestShardedResilience(t *testing.T) {
 	mk := func(workers, shards int) *Result {
 		return runWith(t, workers, func(o *Options) {

@@ -16,8 +16,8 @@ import (
 // layout's placement lattice (whole sites of whole rows), widths come
 // from a discrete master library, and sizing picks per-gap discrete
 // widths by error diffusion instead of shrinking continuously. It shares
-// the planner, cache, reorder buffer and shard emitter with rect mode,
-// so the byte-identical determinism contract carries over unchanged.
+// the planner, cache and reorder buffer with rect mode, so the
+// byte-identical determinism contract carries over unchanged.
 type siteMode struct {
 	e    *Engine
 	grid layout.SiteGrid

@@ -60,10 +60,9 @@ func (e *Engine) RunStream(ctx context.Context, sink Sink) (*Result, error) {
 // assembled maps — so planning synchronizes the shards only on the
 // O(windows) map reduction, never on per-window geometry work, and the
 // reconciled targets are byte-identical for every shard count. After the
-// second round each shard sizes and emits its windows independently
-// through its own reorder path; segments concatenate in canonical window
-// order. No stage materializes all candidate cells or all sized fills at
-// once.
+// second round every window is sized and emitted through one reorder
+// buffer, whatever the shard count. No stage materializes all candidate
+// cells or all sized fills at once.
 func (e *Engine) runPipeline(ctx context.Context, sink Sink) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -171,20 +170,14 @@ func (e *Engine) runPipeline(ctx context.Context, sink Sink) (*Result, error) {
 	}
 
 	// A cancelled run emits nothing more: windows already sized and held
-	// in a reorder buffer or a shard segment are dropped, not written, on
-	// every topology.
+	// in the reorder buffer are dropped, not written.
 	live := SinkFunc(func(k int, fills []layout.Fill) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		return sink.EmitWindow(k, fills)
 	})
-	if e.workerCount(len(wins)) <= 1 || len(sh) == 1 {
-		err = e.sizeAndEmit(ctx, wins, plan2.Td, live, hc, start, cst)
-	} else {
-		err = e.sizeAndEmitSharded(ctx, wins, sh, plan2.Td, live, hc, start, cst)
-	}
-	if err != nil {
+	if err := e.sizeAndEmit(ctx, wins, plan2.Td, live, hc, start, cst); err != nil {
 		return nil, err
 	}
 
@@ -200,10 +193,9 @@ func (e *Engine) runPipeline(ctx context.Context, sink Sink) (*Result, error) {
 }
 
 // produceWindow sizes window k through the resilient fallback chain and
-// converts the surviving cells to fills. It is the shared per-window work
-// of both the unsharded and the sharded size+emit stages; a nil fill
-// slice (window skipped or everything shrunk away) still counts as
-// produced and must be released to advance the emission frontier.
+// converts the surviving cells to fills. A nil fill slice (window skipped
+// or everything shrunk away) still counts as produced and must be
+// released to advance the emission frontier.
 //
 // With an active cache, replay windows return their stored fills without
 // touching the solver, and every cleanly computed window (including
@@ -239,9 +231,11 @@ func (e *Engine) produceWindow(ctx context.Context, k int, wins []*window, td []
 // canonical window order via a bounded reorder buffer. A window's
 // retained state (selection, wire slabs) is dropped at release, so the
 // number of windows resident between claim and emit is bounded by the
-// buffer capacity regardless of run size. Workers claim windows in
-// ascending order, which guarantees the worker holding the smallest
-// in-flight window always finds buffer space — the stage cannot deadlock.
+// buffer capacity regardless of run size or shard count. Workers claim
+// windows in ascending order from one counter, which guarantees the
+// worker holding the smallest in-flight window always finds buffer space
+// — the stage cannot deadlock. One worker runs the same loop; its window
+// is always the oldest, so it never waits.
 //
 // Each worker owns one lazily-initialized sizing scratch for its whole
 // lifetime (its solver arena is reused from window to window), so the
@@ -252,9 +246,6 @@ func (e *Engine) sizeAndEmit(ctx context.Context, wins []*window, td []float64, 
 		return nil
 	}
 
-	produce := func(ctx context.Context, k int, sc *sizeScratch) ([]layout.Fill, error) {
-		return e.produceWindow(ctx, k, wins, td, sc, hc, start, cst)
-	}
 	release := func(k int, fills []layout.Fill) error {
 		w := wins[k]
 		w.sel = nil
@@ -268,27 +259,6 @@ func (e *Engine) sizeAndEmit(ctx context.Context, wins []*window, td []float64, 
 	}
 
 	workers := e.workerCount(nw)
-	if workers <= 1 {
-		sc := newSizeScratch(e.opts)
-		hc.notePeak(1)
-		var serr error
-		pprof.Do(ctx, pprof.Labels("stage", "size-emit"), func(ctx context.Context) {
-			for k := 0; k < nw; k++ {
-				if serr = ctx.Err(); serr != nil {
-					return
-				}
-				var fills []layout.Fill
-				if fills, serr = produce(ctx, k, sc); serr != nil {
-					return
-				}
-				if serr = release(k, fills); serr != nil {
-					return
-				}
-			}
-		})
-		return serr
-	}
-
 	// Buffer capacity: enough slack that workers rarely stall on an
 	// out-of-order slow window, small enough to bound resident windows.
 	capacity := 2 * workers
@@ -328,7 +298,7 @@ func (e *Engine) sizeAndEmit(ctx context.Context, wins []*window, td []float64, 
 					if k >= nw {
 						return
 					}
-					fills, err := produce(ctx, k, sc)
+					fills, err := e.produceWindow(ctx, k, wins, td, sc, hc, start, cst)
 					if err == nil {
 						err = rb.deliver(k, fills)
 					}
@@ -350,7 +320,7 @@ func (e *Engine) sizeAndEmit(ctx context.Context, wins []*window, td []float64, 
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	hc.notePeak(rb.peak)
+	hc.peak = rb.peak
 	return nil
 }
 

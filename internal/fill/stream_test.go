@@ -3,11 +3,13 @@ package fill
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
 
 	"dummyfill/internal/faultinject"
+	"dummyfill/internal/geom"
 	"dummyfill/internal/layout"
 )
 
@@ -141,17 +143,124 @@ func TestRunStreamSinkErrorAborts(t *testing.T) {
 	}
 }
 
+// reorderCapacity mirrors sizeAndEmit's buffer sizing: 2 per worker,
+// clamped to [4, windows].
+func reorderCapacity(workers, windows int) int {
+	return min(max(2*workers, 4), windows)
+}
+
 // TestRunStreamPeakInFlightBounded checks the health report exposes a
-// positive in-flight peak no larger than the reorder capacity.
+// positive in-flight peak no larger than the reorder capacity, for every
+// workers × shards input.
 func TestRunStreamPeakInFlightBounded(t *testing.T) {
-	_, _, res := collectStream(t, 4, nil)
-	peak := res.Health.PeakInFlight
-	if peak < 1 {
-		t.Fatalf("PeakInFlight = %d, want >= 1", peak)
+	for _, topo := range streamTopologies {
+		label := fmt.Sprintf("workers=%d,shards=%d", topo.workers, topo.shards)
+		t.Run(label, func(t *testing.T) {
+			_, _, res := collectStream(t, topo.workers, func(o *Options) { o.Shards = topo.shards })
+			peak := res.Health.PeakInFlight
+			if peak < 1 {
+				t.Fatalf("PeakInFlight = %d, want >= 1", peak)
+			}
+			if c := reorderCapacity(topo.workers, res.Windows); peak > c {
+				t.Fatalf("PeakInFlight = %d exceeds reorder capacity %d", peak, c)
+			}
+		})
 	}
-	// Capacity for 4 workers is 2*4 clamped to [4, windows].
-	if peak > 8 {
-		t.Fatalf("PeakInFlight = %d exceeds reorder capacity 8", peak)
+}
+
+// tiledGradientLayout repeats gradientLayout nx × ny times across the
+// die: 4nx × 4ny windows.
+func tiledGradientLayout(nx, ny int) *layout.Layout {
+	base := gradientLayout()
+	tw, th := base.Die.W(), base.Die.H()
+	lay := *base
+	lay.Die = geom.R(0, 0, tw*int64(nx), th*int64(ny))
+	lay.Layers = make([]*layout.Layer, len(base.Layers))
+	for li, bl := range base.Layers {
+		l := &layout.Layer{}
+		for i := 0; i < nx; i++ {
+			for j := 0; j < ny; j++ {
+				dx, dy := tw*int64(i), th*int64(j)
+				for _, r := range bl.Wires {
+					l.Wires = append(l.Wires, r.Translate(dx, dy))
+				}
+				for _, r := range bl.FillRegions {
+					l.FillRegions = append(l.FillRegions, r.Translate(dx, dy))
+				}
+			}
+		}
+		lay.Layers[li] = l
+	}
+	return &lay
+}
+
+// sizeRecorder is a fillMode that records which windows finished sizing.
+type sizeRecorder struct {
+	fillMode
+	mu    sync.Mutex
+	sized []bool
+}
+
+func (m *sizeRecorder) sizeWindow(ctx context.Context, k int, w *window, targets []int64, sc *sizeScratch, hc *healthCollector, start time.Time) ([]cell, bool, error) {
+	cs, cacheable, err := m.fillMode.sizeWindow(ctx, k, w, targets, sc, hc, start)
+	m.mu.Lock()
+	m.sized[k] = true
+	m.mu.Unlock()
+	return cs, cacheable, err
+}
+
+// sizedAfter counts the windows with index > k that have finished sizing.
+func (m *sizeRecorder) sizedAfter(k int) int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	n := 0
+	for _, done := range m.sized[k+1:] {
+		if done {
+			n++
+		}
+	}
+	return n
+}
+
+// TestRunStreamSizedAheadBounded checks the memory bound of the size+emit
+// stage: however many shards the grid has, windows sized ahead of the
+// emission frontier are held by the reorder buffer or by a worker waiting
+// to deliver, never more. A slow sink lets workers run ahead as far as
+// the scheduler allows; at every emit of window k the number of windows
+// past k that finished sizing must stay within capacity + workers.
+func TestRunStreamSizedAheadBounded(t *testing.T) {
+	for _, topo := range streamTopologies {
+		label := fmt.Sprintf("workers=%d,shards=%d", topo.workers, topo.shards)
+		t.Run(label, func(t *testing.T) {
+			opts := DefaultOptions()
+			opts.Workers = topo.workers
+			opts.Shards = topo.shards
+			e, err := New(tiledGradientLayout(2, 2), opts) // 8×8 windows
+			if err != nil {
+				t.Fatal(err)
+			}
+			nw := e.g.NumWindows()
+			rec := &sizeRecorder{fillMode: e.mode, sized: make([]bool, nw)}
+			e.mode = rec
+			bound := reorderCapacity(topo.workers, nw) + topo.workers
+			peak, emits := 0, 0
+			res, err := e.RunStream(context.Background(), SinkFunc(func(k int, _ []layout.Fill) error {
+				emits++
+				peak = max(peak, rec.sizedAfter(k))
+				time.Sleep(time.Millisecond)
+				return nil
+			}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Health.Shards != topo.shards || emits < nw/2 {
+				t.Fatalf("run did not exercise the input: shards=%d emits=%d of %d windows",
+					res.Health.Shards, emits, nw)
+			}
+			if peak > bound {
+				t.Fatalf("%d windows sized ahead of the emit frontier, want <= capacity+workers = %d", peak, bound)
+			}
+		})
 	}
 }
 
