@@ -11,10 +11,11 @@ package geom
 // the same static shape set (wires, free regions) is queried thousands of
 // times.
 //
-// Build is O(n log n) in the input size and the stored structure is O(n)
-// — there is no raster, so cost never degenerates with coordinate-rich
-// inputs. Query results are bit-identical to UnionArea over the input
-// clipped to the query rectangle.
+// Build is the active-set y-sweep of scanline.go over the input's
+// y-extent, O(n log n + r·k) for r rows of k active rects, and stores no
+// raster, so cost never degenerates with coordinate-rich inputs. Query
+// results are bit-identical to UnionArea over the input clipped to the
+// query rectangle.
 //
 // The zero value is an empty table; Build may be called repeatedly and
 // reuses all internal storage. An AreaTable is not safe for concurrent
@@ -28,7 +29,7 @@ type AreaTable struct {
 	// out as differences since a band's intervals are contiguous in k.
 	pre   []int64
 	total int64
-	curr  []covIval // build scratch
+	curr  []ival // build scratch
 }
 
 // atBand is one maximal y-range with a fixed covered x-interval set.
@@ -45,35 +46,29 @@ func (t *AreaTable) Build(rects []Rect) {
 	t.ixl, t.ixh = t.ixl[:0], t.ixh[:0]
 	t.pre = t.pre[:0]
 	t.total = 0
-	sc := sweepPool.Get().(*sweepScratch)
-	evs := sc.buildEvents(rects)
-	if len(evs) == 0 {
-		sweepPool.Put(sc)
+	y0, y1, ok := yExtent(rects)
+	if !ok {
 		return
 	}
-	cov := &sc.cov
-	cov.reset()
+	sc := sweepPool.Get().(*sweepScratch)
+	sc.begin(rects, y0, y1)
 	curr := t.curr
-	prevY := evs[0].y
-	for i := 0; i < len(evs); {
-		y := evs[i].y
-		if y > prevY && len(cov.ivals) > 0 {
-			curr = cov.coveredInto(curr)
-			t.addBand(prevY, y, curr)
+	for y := y0; y < y1; {
+		curr = sc.union(curr)
+		next := sc.advance()
+		if len(curr) > 0 {
+			t.addBand(y, next, curr)
 		}
-		for i < len(evs) && evs[i].y == y {
-			cov.update(evs[i].xl, evs[i].xh, evs[i].delta)
-			i++
-		}
-		prevY = y
+		y = next
 	}
 	t.curr = curr
+	sc.rects = nil // do not pin the caller's slice in the pool
 	sweepPool.Put(sc)
 }
 
 // addBand appends the band [y0,y1) × ivs, extending the previous band
 // instead when it is vertically contiguous with the same interval set.
-func (t *AreaTable) addBand(y0, y1 int64, ivs []covIval) {
+func (t *AreaTable) addBand(y0, y1 int64, ivs []ival) {
 	if n := len(t.bands); n > 0 {
 		b := &t.bands[n-1]
 		if b.y1 == y0 && t.sameAsBand(*b, ivs) {
@@ -99,7 +94,7 @@ func (t *AreaTable) addBand(y0, y1 int64, ivs []covIval) {
 }
 
 // sameAsBand reports whether ivs equals band b's stored interval set.
-func (t *AreaTable) sameAsBand(b atBand, ivs []covIval) bool {
+func (t *AreaTable) sameAsBand(b atBand, ivs []ival) bool {
 	if int(b.hi-b.lo) != len(ivs) {
 		return false
 	}

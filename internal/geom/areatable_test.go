@@ -111,7 +111,10 @@ func TestOverlapAreaDisjointMatchesUnion(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		raw = append(raw, randRect(rng, 300))
 	}
-	slabs := UnionSlabs(raw) // disjoint by construction
+	// The union of raw as disjoint slabs: the bounding box minus its free
+	// space.
+	bb := BoundingBox(raw)
+	slabs := AppendDifference(nil, bb, AppendDifference(nil, bb, raw))
 	ix := NewIndex(BoundingBox(slabs), 0)
 	for _, s := range slabs {
 		ix.Insert(s)

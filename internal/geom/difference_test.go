@@ -31,10 +31,10 @@ func rowDifference(window Rect, holes []Rect) []Rect {
 	ys = slices.Compact(ys)
 
 	var open []openSlab
-	var prevFree []covIval
+	var prevFree []ival
 	var out []Rect
-	flush := func(y int64, free []covIval) {
-		if sameIvals(prevFree, free) {
+	flush := func(y int64, free []ival) {
+		if slices.Equal(prevFree, free) {
 			return
 		}
 		for _, s := range open {
@@ -50,13 +50,13 @@ func rowDifference(window Rect, holes []Rect) []Rect {
 	}
 	for i := 0; i+1 < len(ys); i++ {
 		yl, yh := ys[i], ys[i+1]
-		var xs []covIval
+		var xs []ival
 		for _, h := range clipped {
 			if h.YL <= yl && h.YH >= yh {
-				xs = append(xs, covIval{h.XL, h.XH, 1})
+				xs = append(xs, ival{h.XL, h.XH})
 			}
 		}
-		slices.SortFunc(xs, func(a, b covIval) int {
+		slices.SortFunc(xs, func(a, b ival) int {
 			switch {
 			case a.xl < b.xl:
 				return -1
@@ -65,18 +65,18 @@ func rowDifference(window Rect, holes []Rect) []Rect {
 			}
 			return 0
 		})
-		var free []covIval
+		var free []ival
 		cur := window.XL
 		for _, iv := range xs {
 			if iv.xl > cur {
-				free = append(free, covIval{cur, iv.xl, 1})
+				free = append(free, ival{cur, iv.xl})
 			}
 			if iv.xh > cur {
 				cur = iv.xh
 			}
 		}
 		if cur < window.XH {
-			free = append(free, covIval{cur, window.XH, 1})
+			free = append(free, ival{cur, window.XH})
 		}
 		flush(yl, free)
 	}
@@ -269,6 +269,25 @@ func candidateLikeDifference() (Rect, []Rect) {
 	return piece, neigh
 }
 
+// candidateSpanningDifference is the traffic candidate pass 2 sends in a
+// full-chip fill: a thin free piece crossed by neighbour wires, 34 holes of
+// which 29 (85%) span the piece's whole sweep height.
+func candidateSpanningDifference() (Rect, []Rect) {
+	rng := rand.New(rand.NewSource(6))
+	piece := R(1000, 1000, 1600, 1060)
+	neigh := make([]Rect, 34)
+	for i := range neigh {
+		x := 1000 + rng.Int63n(580)
+		if i < 29 {
+			neigh[i] = R(x, 900+rng.Int63n(100), x+10+rng.Int63n(20), 1060+rng.Int63n(200))
+			continue
+		}
+		y := 1000 + rng.Int63n(50)
+		neigh[i] = R(x, y, x+10+rng.Int63n(40), y+5+rng.Int63n(30))
+	}
+	return piece, neigh
+}
+
 func BenchmarkDifference(b *testing.B) {
 	for _, bc := range []struct {
 		name  string
@@ -276,6 +295,7 @@ func BenchmarkDifference(b *testing.B) {
 	}{
 		{"ingest-127-holes", ingestLikeDifference},
 		{"candidate-382-neighbours", candidateLikeDifference},
+		{"candidate-spanning", candidateSpanningDifference},
 	} {
 		w, holes := bc.shape()
 		for _, vertical := range []bool{false, true} {

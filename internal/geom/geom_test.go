@@ -177,30 +177,6 @@ func TestUnionAreaRandomVsBrute(t *testing.T) {
 	}
 }
 
-func TestUnionSlabsDisjointAndComplete(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for it := 0; it < 50; it++ {
-		rects := randRects(rng, 1+rng.Intn(10), 30)
-		slabs := UnionSlabs(rects)
-		// Disjoint.
-		for i := range slabs {
-			for j := i + 1; j < len(slabs); j++ {
-				if slabs[i].Overlaps(slabs[j]) {
-					t.Fatalf("it %d: slabs overlap: %v %v", it, slabs[i], slabs[j])
-				}
-			}
-		}
-		// Area-preserving.
-		var sum int64
-		for _, s := range slabs {
-			sum += s.Area()
-		}
-		if want := UnionArea(rects); sum != want {
-			t.Fatalf("it %d: slab area %d != union area %d", it, sum, want)
-		}
-	}
-}
-
 func TestDifferenceBasic(t *testing.T) {
 	w := R(0, 0, 10, 10)
 	free := Difference(w, nil)
@@ -255,21 +231,6 @@ func TestDifferenceRandomInvariant(t *testing.T) {
 		if got, want := TotalArea(free)+UnionArea(clipped), w.Area(); got != want {
 			t.Fatalf("it %d: free+covered = %d, want %d", it, got, want)
 		}
-	}
-}
-
-func TestIntersectSets(t *testing.T) {
-	a := []Rect{R(0, 0, 10, 10)}
-	b := []Rect{R(5, 5, 15, 15), R(0, 0, 2, 2)}
-	got := IntersectSets(a, b)
-	if UnionArea(got) != 25+4 {
-		t.Fatalf("intersect sets area = %d, want 29", UnionArea(got))
-	}
-	if OverlapAreaSets(a, b) != 29 {
-		t.Fatalf("OverlapAreaSets wrong")
-	}
-	if len(IntersectSets(nil, b)) != 0 {
-		t.Fatal("empty set intersection must be empty")
 	}
 }
 

@@ -39,7 +39,7 @@ func TestDifferenceVertEquivalentArea(t *testing.T) {
 		w := R(0, 0, 50, 50)
 		holes := randRects(rng, rng.Intn(8), 40)
 		h := Difference(w, holes)
-		v := DifferenceVert(w, holes)
+		v := AppendDifferenceOriented(nil, w, holes, true)
 		if TotalArea(h) != TotalArea(v) {
 			t.Fatalf("it %d: area mismatch H=%d V=%d", it, TotalArea(h), TotalArea(v))
 		}
@@ -72,7 +72,7 @@ func TestDifferenceVertFewerPiecesForVerticalWires(t *testing.T) {
 		holes = append(holes, R(x, (x/10)%300, x+16, 1000-(x/7)%200))
 	}
 	h := Difference(w, holes)
-	v := DifferenceVert(w, holes)
+	v := AppendDifferenceOriented(nil, w, holes, true)
 	if len(v) >= len(h) {
 		t.Fatalf("vertical decomposition should win for vertical bars: %d vs %d pieces", len(v), len(h))
 	}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 )
 
 // Polygon is a simple rectilinear polygon given as an ordered vertex ring
@@ -104,50 +103,37 @@ func (p Polygon) ToRects() ([]Rect, error) {
 	slices.Sort(ys)
 	ys = slices.Compact(ys)
 
-	type openSlab struct {
-		xl, xh, yl int64
-	}
-	var open []openSlab
+	sc := sweepPool.Get().(*sweepScratch)
+	sc.startRows()
 	var out []Rect
-	var prev []covIval
-	flush := func(y int64, cur []covIval) {
-		if sameIvals(prev, cur) {
-			return
-		}
-		for _, s := range open {
-			if y > s.yl {
-				out = append(out, Rect{s.xl, s.yl, s.xh, y})
-			}
-		}
-		open = open[:0]
-		for _, iv := range cur {
-			open = append(open, openSlab{iv.xl, iv.xh, y})
-		}
-		prev = append(prev[:0], cur...)
-	}
+	var xs []int64
+	cur := sc.row
 	for i := 0; i+1 < len(ys); i++ {
 		yl, yh := ys[i], ys[i+1]
 		// Vertical edges spanning this band, sorted by x; even-odd pairing
 		// gives the interior intervals.
-		var xs []int64
+		xs = xs[:0]
 		for _, e := range edges {
 			if e.yl <= yl && e.yh >= yh {
 				xs = append(xs, e.x)
 			}
 		}
-		sort.Slice(xs, func(a, b int) bool { return xs[a] < xs[b] })
+		slices.Sort(xs)
 		if len(xs)%2 != 0 {
+			sweepPool.Put(sc)
 			return nil, fmt.Errorf("geom: polygon scan parity error in band y=[%d,%d)", yl, yh)
 		}
-		var cur []covIval
+		cur = cur[:0]
 		for j := 0; j+1 < len(xs); j += 2 {
 			if xs[j] < xs[j+1] {
-				cur = append(cur, covIval{xs[j], xs[j+1], 1})
+				cur = append(cur, ival{xs[j], xs[j+1]})
 			}
 		}
-		flush(yl, cur)
+		out = sc.flushRow(out, yl, cur)
 	}
-	flush(ys[len(ys)-1], nil)
+	out = sc.flushRow(out, ys[len(ys)-1], nil)
+	sc.row = cur
+	sweepPool.Put(sc)
 
 	// Sanity: decomposition must preserve area.
 	var sum int64
@@ -158,14 +144,4 @@ func (p Polygon) ToRects() ([]Rect, error) {
 		return nil, fmt.Errorf("geom: polygon decomposition area mismatch: rects %d vs polygon %d", sum, a)
 	}
 	return out, nil
-}
-
-// RectsToPolygonCount is a helper reporting how many rectangles ToRects
-// produced; exposed for instrumentation in the GDS pipeline.
-func RectsToPolygonCount(p Polygon) int {
-	rs, err := p.ToRects()
-	if err != nil {
-		return 0
-	}
-	return len(rs)
 }

@@ -1,35 +1,43 @@
 package geom
 
 import (
+	"cmp"
 	"slices"
 	"sync"
 )
 
 // This file implements scanline boolean operations over sets of (possibly
-// overlapping) rectangles: exact union area, union decomposition into
-// disjoint maximal horizontal slabs, difference (free-space extraction),
-// and pairwise intersection of two rectangle sets.
+// overlapping) rectangles: exact union area and difference (free-space
+// extraction). AreaTable.Build and Polygon.ToRects share its row
+// machinery.
 //
-// Every operation is one y-sweep: the open/close events of the input
-// rectangles are sorted by y once, the active x-cover lives in a coverage
-// structure that splices its sorted interval list in place instead of
-// re-sorting, and at each distinct y the sweep reads what it needs off
-// that cover — its length (UnionArea), its intervals (UnionSlabs) or its
-// complement within the window (Difference). Vertically contiguous rows
-// with identical interval sets merge into one slab.
+// Every operation is one y-sweep over [y0, y1). begin seeds the active
+// set with the rectangles that start at y0, sorted once by left edge,
+// and turns only interior edges into events: a rectangle reaching y1
+// never gets a close event. The active set holds copies of the covering
+// rectangles ordered by left edge, so each row's union (or its
+// complement within the window) is one max-walk over contiguous memory
+// and overlapping rectangles need no counts.
+// Vertically contiguous rows with identical interval sets merge into one
+// slab. In free-space extraction most holes cross the whole (thin)
+// window, so most of them only ever seed the sweep.
 //
 // These run in the innermost loops of candidate generation, ingest and
 // density accounting, so they are written for zero steady-state
-// allocation: event lists, interval buffers and open-slab stacks live in
-// a sync.Pool-backed scratch arena, and the Append* forms write into a
-// caller-owned slice.
+// allocation: event lists, the active set, interval buffers and
+// open-slab stacks live in a sync.Pool-backed scratch arena, and the
+// Append* forms write into a caller-owned slice.
 
-// sweepEvent is a horizontal-edge event of the y-sweep.
+// sweepEvent is an interior horizontal edge of rectangle id: the bottom
+// edge when open, the top edge otherwise.
 type sweepEvent struct {
-	y      int64
-	xl, xh int64
-	delta  int // +1 open, -1 close
+	y    int64
+	id   int32
+	open bool
 }
+
+// ival is the half-open x-interval [xl, xh).
+type ival struct{ xl, xh int64 }
 
 // openSlab tracks a rectangle currently being extended vertically while
 // sweeping.
@@ -40,56 +48,136 @@ type openSlab struct {
 // sweepScratch bundles the reusable buffers of one sweep. Instances
 // ping-pong through sweepPool so concurrent sweeps never share state.
 type sweepScratch struct {
-	evs        []sweepEvent
-	cov        coverage
-	prev, curr []covIval
-	open       []openSlab
-	pieces     []Rect
+	rects  []Rect // the swept rectangles, indexed by id
+	active []Rect // the rects covering the current row, by XL
+	evs    []sweepEvent
+	next   int   // first event not yet applied
+	y1     int64 // top of the sweep
+	clip   []Rect
+	row    []ival
+	prev   []ival // intervals of the last flushed row
+	open   []openSlab
 }
 
 var sweepPool = sync.Pool{New: func() any { return new(sweepScratch) }}
 
-// buildEvents fills sc.evs with the open/close events of rects, sorted by
-// y, and returns the slice (empty if every rect is empty).
-func (sc *sweepScratch) buildEvents(rects []Rect) []sweepEvent {
-	evs := sc.evs[:0]
-	for _, r := range rects {
-		if !r.Empty() {
-			evs = appendEvents(evs, r)
+// begin starts a sweep of rects over [y0, y1); every non-empty rect must
+// lie within that y-range and empty ones are ignored. Rects starting at
+// y0 seed the active set, the others open at an event, and only rects
+// ending below y1 get a close event, so every event lies strictly inside
+// (y0, y1).
+func (sc *sweepScratch) begin(rects []Rect, y0, y1 int64) {
+	active, evs := sc.active[:0], sc.evs[:0]
+	for i, r := range rects {
+		if r.Empty() {
+			continue
+		}
+		id := Idx32(i)
+		if r.YL == y0 {
+			active = append(active, r)
+		} else {
+			evs = append(evs, sweepEvent{r.YL, id, true})
+		}
+		if r.YH < y1 {
+			evs = append(evs, sweepEvent{r.YH, id, false})
 		}
 	}
-	sortEvents(evs)
-	sc.evs = evs
-	return evs
+	slices.SortFunc(active, func(a, b Rect) int { return cmp.Compare(a.XL, b.XL) })
+	// The order within one y does not matter: advance applies all of its
+	// events before the row is read.
+	slices.SortFunc(evs, func(a, b sweepEvent) int { return cmp.Compare(a.y, b.y) })
+	sc.rects, sc.active, sc.evs, sc.next, sc.y1 = rects, active, evs, 0, y1
+	sc.startRows()
 }
 
-// appendEvents appends the open and close events of the non-empty r.
-func appendEvents(evs []sweepEvent, r Rect) []sweepEvent {
-	return append(evs,
-		sweepEvent{r.YL, r.XL, r.XH, +1},
-		sweepEvent{r.YH, r.XL, r.XH, -1})
-}
+// startRows empties the row state that flushRow merges against.
+func (sc *sweepScratch) startRows() { sc.open, sc.prev = sc.open[:0], sc.prev[:0] }
 
-// sortEvents orders events by y. The order within one y does not matter:
-// a sweep applies all of them before it reads the cover.
-func sortEvents(evs []sweepEvent) {
-	slices.SortFunc(evs, func(a, b sweepEvent) int {
-		switch {
-		case a.y < b.y:
-			return -1
-		case a.y > b.y:
-			return 1
+// advance applies every event at the next event y and returns that y, or
+// returns y1 once no event is left.
+func (sc *sweepScratch) advance() int64 {
+	evs, i := sc.evs, sc.next
+	if i == len(evs) {
+		return sc.y1
+	}
+	y := evs[i].y
+	j, closed := i, false
+	for ; j < len(evs) && evs[j].y == y; j++ {
+		closed = closed || !evs[j].open
+	}
+	if closed {
+		// Every active rect ending at or below y has had its close event.
+		active := sc.active[:0]
+		for _, r := range sc.active {
+			if r.YH > y {
+				active = append(active, r)
+			}
 		}
-		return 0
-	})
+		sc.active = active
+	}
+	for ; i < j; i++ {
+		if evs[i].open {
+			sc.insert(sc.rects[evs[i].id])
+		}
+	}
+	sc.next = j
+	return y
+}
+
+// insert adds r to the active set after every rect with the same or a
+// smaller left edge.
+func (sc *sweepScratch) insert(r Rect) {
+	active := sc.active
+	lo, hi := 0, len(active)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if active[mid].XL <= r.XL {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	sc.active = slices.Insert(active, lo, r)
+}
+
+// union appends the current row's union to dst[:0] as sorted, disjoint
+// intervals with touching neighbours merged.
+func (sc *sweepScratch) union(dst []ival) []ival {
+	dst = dst[:0]
+	for _, r := range sc.active {
+		if n := len(dst); n > 0 && r.XL <= dst[n-1].xh {
+			dst[n-1].xh = max(dst[n-1].xh, r.XH)
+			continue
+		}
+		dst = append(dst, ival{r.XL, r.XH})
+	}
+	return dst
+}
+
+// gaps appends to dst[:0] the sorted x-intervals of [xl,xh) that the
+// current row leaves uncovered. Every active rect must lie within
+// [xl,xh).
+func (sc *sweepScratch) gaps(dst []ival, xl, xh int64) []ival {
+	dst = dst[:0]
+	cur := xl
+	for _, r := range sc.active {
+		if r.XL > cur {
+			dst = append(dst, ival{cur, r.XL})
+		}
+		cur = max(cur, r.XH)
+	}
+	if cur < xh {
+		dst = append(dst, ival{cur, xh})
+	}
+	return dst
 }
 
 // flushRow starts the row at y whose intervals are ivs. If ivs equals
 // the previous row's set the open slabs just grow taller; otherwise they
 // close at y and one new slab opens per interval. Closed slabs are
 // appended to dst.
-func (sc *sweepScratch) flushRow(dst []Rect, y int64, ivs []covIval) []Rect {
-	if sameIvals(sc.prev, ivs) {
+func (sc *sweepScratch) flushRow(dst []Rect, y int64, ivs []ival) []Rect {
+	if slices.Equal(sc.prev, ivs) {
 		return dst
 	}
 	for _, s := range sc.open {
@@ -106,9 +194,25 @@ func (sc *sweepScratch) flushRow(dst []Rect, y int64, ivs []covIval) []Rect {
 	return dst
 }
 
+// yExtent returns the y-range spanned by the non-empty rects; ok is false
+// when there are none.
+func yExtent(rects []Rect) (y0, y1 int64, ok bool) {
+	for _, r := range rects {
+		if r.Empty() {
+			continue
+		}
+		if !ok {
+			y0, y1, ok = r.YL, r.YH, true
+			continue
+		}
+		y0, y1 = min(y0, r.YL), max(y1, r.YH)
+	}
+	return y0, y1, ok
+}
+
 // UnionArea returns the exact area covered by the union of rects,
-// counting overlapping regions once. It runs a y-sweep with an x-interval
-// coverage structure in O(n log n + n·k) where k is the active set size.
+// counting overlapping regions once. It runs one y-sweep in
+// O(n log n + r·k), r rows and k the active set size.
 func UnionArea(rects []Rect) int64 {
 	// Fast paths for the tiny inputs that dominate per-cell overlay
 	// queries: no sweep, no scratch checkout.
@@ -120,174 +224,26 @@ func UnionArea(rects []Rect) int64 {
 	case 2:
 		return rects[0].Area() + rects[1].Area() - rects[0].Intersect(rects[1]).Area()
 	}
-	sc := sweepPool.Get().(*sweepScratch)
-	evs := sc.buildEvents(rects)
-	var area int64
-	if len(evs) > 0 {
-		cov := &sc.cov
-		cov.reset()
-		prevY := evs[0].y
-		for i := 0; i < len(evs); {
-			y := evs[i].y
-			area += cov.total() * (y - prevY)
-			for i < len(evs) && evs[i].y == y {
-				cov.update(evs[i].xl, evs[i].xh, evs[i].delta)
-				i++
-			}
-			prevY = y
-		}
+	y0, y1, ok := yExtent(rects)
+	if !ok {
+		return 0
 	}
+	sc := sweepPool.Get().(*sweepScratch)
+	sc.begin(rects, y0, y1)
+	row := sc.row
+	var area int64
+	for y := y0; y < y1; {
+		row = sc.union(row)
+		next := sc.advance()
+		for _, iv := range row {
+			area += (iv.xh - iv.xl) * (next - y)
+		}
+		y = next
+	}
+	sc.row = row
+	sc.rects = nil // do not pin the caller's slice in the pool
 	sweepPool.Put(sc)
 	return area
-}
-
-// coverage maintains multiset interval coverage on the x axis as a sorted
-// list of disjoint intervals with positive counts. update splices the
-// affected range in place (binary search + single rebuild into a
-// ping-pong buffer), so a sweep performs no sorting and no allocation
-// once the two buffers have grown to the working-set size.
-type coverage struct {
-	ivals []covIval
-	buf   []covIval
-}
-
-type covIval struct {
-	xl, xh int64
-	n      int
-}
-
-func (c *coverage) reset() { c.ivals = c.ivals[:0] }
-
-// update adds delta to the coverage count of [xl,xh). Intervals whose
-// count reaches zero are dropped; callers only ever close ranges they
-// previously opened, so counts never go negative.
-func (c *coverage) update(xl, xh int64, delta int) {
-	if xl >= xh {
-		return
-	}
-	ivals := c.ivals
-	// First interval that ends after xl: everything before it is
-	// untouched.
-	lo, hi := 0, len(ivals)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if ivals[mid].xh <= xl {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	buf := append(c.buf[:0], ivals[:lo]...)
-	cur := xl
-	i := lo
-	for ; i < len(ivals) && ivals[i].xl < xh; i++ {
-		iv := ivals[i]
-		if iv.xl > cur {
-			// Gap [cur, iv.xl) inside the update range.
-			if delta > 0 {
-				buf = append(buf, covIval{cur, iv.xl, delta})
-			}
-			cur = iv.xl
-		} else if iv.xl < cur {
-			// Left part of iv sticks out before xl: keep its count.
-			buf = append(buf, covIval{iv.xl, cur, iv.n})
-		}
-		mid := min64(iv.xh, xh)
-		if cur < mid {
-			if n := iv.n + delta; n != 0 {
-				buf = append(buf, covIval{cur, mid, n})
-			}
-			cur = mid
-		}
-		if iv.xh > xh {
-			// Right part sticks out past xh: keep its count.
-			buf = append(buf, covIval{xh, iv.xh, iv.n})
-		}
-	}
-	if cur < xh && delta > 0 {
-		buf = append(buf, covIval{cur, xh, delta})
-	}
-	buf = append(buf, ivals[i:]...)
-	c.ivals, c.buf = buf, ivals
-}
-
-// total returns the covered length (count > 0).
-func (c *coverage) total() int64 {
-	var t int64
-	for _, iv := range c.ivals {
-		t += iv.xh - iv.xl
-	}
-	return t
-}
-
-// coveredInto appends the sorted disjoint x-intervals with positive
-// coverage to dst[:0], merging touching neighbours.
-func (c *coverage) coveredInto(dst []covIval) []covIval {
-	dst = dst[:0]
-	for _, iv := range c.ivals {
-		if n := len(dst); n > 0 && dst[n-1].xh == iv.xl {
-			dst[n-1].xh = iv.xh
-			continue
-		}
-		dst = append(dst, covIval{iv.xl, iv.xh, 1})
-	}
-	return dst
-}
-
-// complementInto appends to dst[:0] the sorted x-intervals of [xl,xh)
-// with zero coverage. Every covered interval must lie within [xl,xh).
-func (c *coverage) complementInto(dst []covIval, xl, xh int64) []covIval {
-	dst = dst[:0]
-	cur := xl
-	for _, iv := range c.ivals {
-		if iv.xl > cur {
-			dst = append(dst, covIval{cur, iv.xl, 1})
-		}
-		cur = iv.xh
-	}
-	if cur < xh {
-		dst = append(dst, covIval{cur, xh, 1})
-	}
-	return dst
-}
-
-// UnionSlabs decomposes the union of rects into disjoint rectangles
-// (maximal horizontal slabs). The output rectangles are non-overlapping
-// and their total area equals UnionArea(rects).
-func UnionSlabs(rects []Rect) []Rect {
-	sc := sweepPool.Get().(*sweepScratch)
-	evs := sc.buildEvents(rects)
-	cov := &sc.cov
-	cov.reset()
-	sc.open, sc.prev = sc.open[:0], sc.prev[:0]
-	var out []Rect
-	curr := sc.curr
-	for i := 0; i < len(evs); {
-		y := evs[i].y
-		for i < len(evs) && evs[i].y == y {
-			cov.update(evs[i].xl, evs[i].xh, evs[i].delta)
-			i++
-		}
-		curr = cov.coveredInto(curr)
-		out = sc.flushRow(out, y, curr)
-	}
-	// All rects are closed by their own close event, so the cover is empty
-	// after the last event and no slab is left open.
-	sc.curr = curr
-	sweepPool.Put(sc)
-	return out
-}
-
-func sameIvals(a, b []covIval) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].xl != b[i].xl || a[i].xh != b[i].xh {
-			return false
-		}
-	}
-	return true
 }
 
 // AppendDifference appends window minus the union of holes to dst,
@@ -297,80 +253,57 @@ func sameIvals(a, b []covIval) bool {
 // not overlap the window contribute nothing. With a warmed dst it does
 // not allocate.
 func AppendDifference(dst []Rect, window Rect, holes []Rect) []Rect {
-	if window.Empty() {
-		return dst
-	}
-	sc := sweepPool.Get().(*sweepScratch)
-	dst = sc.appendDifference(dst, window, holes)
-	sweepPool.Put(sc)
-	return dst
+	return AppendDifferenceOriented(dst, window, holes, false)
 }
 
 // AppendDifferenceOriented is AppendDifference with the slab orientation
 // picked by vertical: true yields maximal vertical slabs, which around
 // vertical wires are far fewer and fatter than horizontal ones.
 func AppendDifferenceOriented(dst []Rect, window Rect, holes []Rect, vertical bool) []Rect {
-	if !vertical {
-		return AppendDifference(dst, window, holes)
-	}
 	if window.Empty() {
 		return dst
 	}
 	sc := sweepPool.Get().(*sweepScratch)
-	// Sweep the transposed problem. Only holes overlapping the window are
-	// transposed; the rest would be clipped away anyway.
-	ht := sc.pieces[:0]
+	// Clip the holes to the window, transposing the problem for vertical
+	// slabs.
+	clip := sc.clip[:0]
 	for _, h := range holes {
 		if c := h.Intersect(window); !c.Empty() {
-			ht = append(ht, c.Transpose())
+			if vertical {
+				c = c.Transpose()
+			}
+			clip = append(clip, c)
 		}
 	}
-	sc.pieces = ht
+	sc.clip = clip
 	n := len(dst)
-	dst = sc.appendDifference(dst, window.Transpose(), ht)
+	if vertical {
+		window = window.Transpose()
+	}
+	dst = sc.appendDifference(dst, window, clip)
 	sweepPool.Put(sc)
-	for i := n; i < len(dst); i++ {
-		dst[i] = dst[i].Transpose()
+	if vertical {
+		for i := n; i < len(dst); i++ {
+			dst[i] = dst[i].Transpose()
+		}
 	}
 	return dst
 }
 
-// appendDifference runs the difference sweep of the non-empty window.
-// The open/close events of the clipped holes are sorted by y once; at
-// each distinct y the complement of the active x-cover within the window
-// is the free interval set of the row starting there, and flushRow merges
-// vertically identical rows into taller slabs.
+// appendDifference runs the difference sweep of the non-empty window over
+// holes already clipped to it: the gaps of each row are its free interval
+// set, and flushRow merges vertically identical rows into taller slabs.
 func (sc *sweepScratch) appendDifference(dst []Rect, window Rect, holes []Rect) []Rect {
-	evs := sc.evs[:0]
-	for _, h := range holes {
-		if c := h.Intersect(window); !c.Empty() {
-			evs = appendEvents(evs, c)
-		}
-	}
-	sc.evs = evs
-	if len(evs) == 0 {
+	if len(holes) == 0 {
 		return append(dst, window)
 	}
-	sortEvents(evs)
-	cov := &sc.cov
-	cov.reset()
-	sc.open, sc.prev = sc.open[:0], sc.prev[:0]
-	free := sc.curr
-	// Clipped events lie in [window.YL, window.YH]; the ones at window.YH
-	// only close rows that end there.
-	i := 0
-	for y := window.YL; y < window.YH; y = evs[i].y {
-		for i < len(evs) && evs[i].y == y {
-			cov.update(evs[i].xl, evs[i].xh, evs[i].delta)
-			i++
-		}
-		free = cov.complementInto(free, window.XL, window.XH)
+	sc.begin(holes, window.YL, window.YH)
+	free := sc.row
+	for y := window.YL; y < window.YH; y = sc.advance() {
+		free = sc.gaps(free, window.XL, window.XH)
 		dst = sc.flushRow(dst, y, free)
-		if i == len(evs) {
-			break
-		}
 	}
-	sc.curr = free
+	sc.row = free
 	return sc.flushRow(dst, window.YH, nil)
 }
 
@@ -390,63 +323,10 @@ func TransposeRects(rs []Rect) []Rect {
 	return out
 }
 
-// DifferenceVert is Difference with the output decomposed into vertical
-// (maximal-height) slabs instead of horizontal ones.
-func DifferenceVert(window Rect, holes []Rect) []Rect {
-	return AppendDifferenceOriented(nil, window, holes, true)
-}
-
 // DifferenceOriented picks the slab orientation: vertical=true yields
 // vertical slabs.
 func DifferenceOriented(window Rect, holes []Rect, vertical bool) []Rect {
 	return AppendDifferenceOriented(nil, window, holes, vertical)
-}
-
-// IntersectSets returns the disjoint decomposition of the intersection of
-// the unions of a and b: region covered by at least one rect of a AND at
-// least one rect of b.
-func IntersectSets(a, b []Rect) []Rect {
-	// Compute pairwise intersections then take their union decomposition
-	// to remove double counting. Pairwise cost is acceptable at window
-	// granularity; a sweep would be used for full-chip scale.
-	sc := sweepPool.Get().(*sweepScratch)
-	pieces := sc.pieces[:0]
-	for _, ra := range a {
-		for _, rb := range b {
-			c := ra.Intersect(rb)
-			if !c.Empty() {
-				pieces = append(pieces, c)
-			}
-		}
-	}
-	sc.pieces = pieces
-	var out []Rect
-	if len(pieces) <= 1 {
-		out = append(out, pieces...)
-	} else {
-		out = UnionSlabs(pieces)
-	}
-	sweepPool.Put(sc)
-	return out
-}
-
-// OverlapAreaSets returns the area of the intersection of the unions of a
-// and b.
-func OverlapAreaSets(a, b []Rect) int64 {
-	sc := sweepPool.Get().(*sweepScratch)
-	pieces := sc.pieces[:0]
-	for _, ra := range a {
-		for _, rb := range b {
-			c := ra.Intersect(rb)
-			if !c.Empty() {
-				pieces = append(pieces, c)
-			}
-		}
-	}
-	sc.pieces = pieces
-	area := UnionArea(pieces)
-	sweepPool.Put(sc)
-	return area
 }
 
 // BoundingBox returns the bounding box of rects (empty Rect if none).

@@ -143,7 +143,7 @@ var (
 // context error when a solve was cancelled), so errors.Is dispatch works
 // through it.
 type SolverError struct {
-	Op  string // "addarc", "ssp", "netsimplex", "cyclecancel"
+	Op  string // "addarc", "ssp", "netsimplex"
 	Err error
 }
 
