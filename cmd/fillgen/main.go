@@ -27,6 +27,7 @@ import (
 	"dummyfill/internal/gdsii"
 	"dummyfill/internal/layio"
 	"dummyfill/internal/oasis"
+	"dummyfill/internal/synth"
 	"dummyfill/internal/textfmt"
 )
 
@@ -79,8 +80,10 @@ func main() {
 		return
 	}
 
+	// Only the scored run reads the score coefficients, so -stream and
+	// -diff never pay for calibration.
 	var lay *dummyfill.Layout
-	var coeffs dummyfill.Coefficients
+	var coefficients func() (dummyfill.Coefficients, error)
 	if *in != "" {
 		f, ferr := os.Open(*in)
 		if ferr != nil {
@@ -92,12 +95,16 @@ func main() {
 			fatal(err)
 		}
 		*design = lay.Name
-		coeffs, err = dummyfill.Calibrate(lay, 60, 4096)
+		coefficients = func() (dummyfill.Coefficients, error) { return dummyfill.Calibrate(lay, 60, 4096) }
 	} else {
-		lay, coeffs, err = dummyfill.GenerateBenchmark(*design)
-	}
-	if err != nil {
-		fatal(err)
+		sp, err := synth.ByName(*design)
+		if err != nil {
+			fatal(err)
+		}
+		if lay, err = synth.Generate(sp); err != nil {
+			fatal(err)
+		}
+		coefficients = func() (dummyfill.Coefficients, error) { return synth.Coefficients(sp, lay) }
 	}
 	opts := dummyfill.DefaultOptions()
 	if *lambda > 0 {
@@ -182,6 +189,10 @@ func main() {
 		fatal(fmt.Errorf("unknown method %q", *method))
 	}
 
+	coeffs, err := coefficients()
+	if err != nil {
+		fatal(err)
+	}
 	rep, sol, health, err := dummyfill.RunMethodContext(ctx, *chosen, lay, coeffs)
 	if err != nil {
 		fatal(err)

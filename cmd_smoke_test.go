@@ -291,6 +291,29 @@ func TestReproFig6Command(t *testing.T) {
 	}
 }
 
+// TestReproTable3Command checks the repro tool's Table 3 path: one row
+// per method, then the engine's health line.
+func TestReproTable3Command(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries; skipped in -short mode")
+	}
+	repro := buildTool(t, "repro")
+	out := run(t, repro, "-exp", "table3", "-designs", "tiny")
+	var methods []string
+	for _, line := range strings.Split(out, "\n") {
+		if f := strings.Fields(line); len(f) > 1 && f[0] == "tiny" {
+			methods = append(methods, f[1])
+		}
+	}
+	want := []string{"ours", "tile-lp", "montecarlo", "coupling-ilp", "greedy"}
+	if strings.Join(methods, ",") != strings.Join(want, ",") {
+		t.Fatalf("table3 method rows = %v, want %v:\n%s", methods, want, out)
+	}
+	if !strings.Contains(out, "health[tiny/ours]: ") {
+		t.Fatalf("table3 output has no engine health line:\n%s", out)
+	}
+}
+
 // TestFilllintCommand drives the analysis gate the way CI does: the
 // repo's own tree must be clean under every analyzer, -list must name
 // them all, and -json must emit a parseable (empty) findings array.

@@ -217,6 +217,24 @@ func PlanTargets(bounds []LayerBounds, w PlanWeights, steps int) (*Plan, error) 
 	return best, nil
 }
 
+// PlanHaloRows returns how many fixed-dissection window rows a shard's
+// halo ring must span so that every overlapping w×w analysis window whose
+// lower-left corner lies inside the shard is fully covered by shard+halo
+// data — the multi-window coupling radius, in rows.
+//
+// Overlapping windows are placed at offsets that are multiples of w/r, so
+// the farthest such window starts (r−1)·(w/r) past a row boundary and
+// overhangs the next row by w − w/r < w: strictly less than one full row
+// for every r ≥ 2, hence one halo row always suffices. At r = 1 the
+// overlapping dissection degenerates to the fixed one — no window crosses
+// a row boundary and no halo is needed.
+func PlanHaloRows(r int) int {
+	if r <= 1 {
+		return 0
+	}
+	return 1
+}
+
 // Divergence measures how far two plans' per-layer targets are apart:
 // the maximum absolute target-density difference across layers. The
 // shard-parallel planner uses it to report how much a shard's halo-local

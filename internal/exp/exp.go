@@ -9,7 +9,7 @@ import (
 	"context"
 	"fmt"
 
-	"dummyfill/internal/baseline"
+	dummyfill "dummyfill"
 	"dummyfill/internal/cmppad"
 	"dummyfill/internal/dlp"
 	"dummyfill/internal/fill"
@@ -66,53 +66,9 @@ type Table3Row struct {
 	Health *fill.Health
 }
 
-// Method is a named fill runner. The baselines ignore the context and
-// return a nil health report.
-type Method struct {
-	Name string
-	Run  func(ctx context.Context, lay *layout.Layout) (*layout.Solution, *fill.Health, error)
-}
-
-// Methods returns the paper's engine plus the four baselines.
-func Methods(opts fill.Options) []Method {
-	ours := Method{Name: "ours", Run: func(ctx context.Context, lay *layout.Layout) (*layout.Solution, *fill.Health, error) {
-		e, err := fill.New(lay, opts)
-		if err != nil {
-			return nil, nil, err
-		}
-		res, err := e.RunContext(ctx)
-		if err != nil {
-			return nil, nil, err
-		}
-		return &res.Solution, &res.Health, nil
-	}}
-	out := []Method{ours}
-	for _, f := range []baseline.Filler{
-		baseline.TileLP{},
-		baseline.MonteCarlo{Seed: 42},
-		baseline.CouplingConstrained{},
-		baseline.Greedy{},
-	} {
-		f := f
-		out = append(out, Method{Name: f.Name(), Run: func(ctx context.Context, lay *layout.Layout) (*layout.Solution, *fill.Health, error) {
-			if err := ctx.Err(); err != nil {
-				return nil, nil, err
-			}
-			sol, err := f.Fill(lay)
-			return sol, nil, err
-		}})
-	}
-	return out
-}
-
-// MeasureFn runs a workload and reports (seconds, peak MiB). The harness
-// supplies a sampler; tests can supply a stub.
-type MeasureFn func(func() error) (float64, float64, error)
-
-// Table3 runs every method on every design. measure supplies the
-// runtime/memory instrumentation (pass a stub returning zeros to skip).
-func Table3(designs []string, opts fill.Options, measure MeasureFn) ([]Table3Row, error) {
-	return Table3Ctx(context.Background(), designs, opts, measure)
+// Table3 runs every method on every design.
+func Table3(designs []string, opts fill.Options) ([]Table3Row, error) {
+	return Table3Ctx(context.Background(), designs, opts)
 }
 
 // Design is one ready-to-run evaluation input: a layout plus its
@@ -127,7 +83,7 @@ type Design struct {
 
 // Table3Ctx is Table3 under a context: cancellation aborts between (and,
 // for the engine, inside) method runs.
-func Table3Ctx(ctx context.Context, designs []string, opts fill.Options, measure MeasureFn) ([]Table3Row, error) {
+func Table3Ctx(ctx context.Context, designs []string, opts fill.Options) ([]Table3Row, error) {
 	ds := make([]Design, 0, len(designs))
 	for _, n := range designs {
 		sp, err := synth.ByName(n)
@@ -144,37 +100,23 @@ func Table3Ctx(ctx context.Context, designs []string, opts fill.Options, measure
 		}
 		ds = append(ds, Design{Name: n, Lay: lay, Coeffs: coeffs})
 	}
-	return Table3Designs(ctx, ds, opts, measure)
+	return Table3Designs(ctx, ds, opts)
 }
 
-// Table3Designs runs every method on every pre-built design.
-func Table3Designs(ctx context.Context, designs []Design, opts fill.Options, measure MeasureFn) ([]Table3Row, error) {
+// Table3Designs runs every method of dummyfill.AllMethods on every
+// pre-built design through dummyfill.RunMethodContext, which measures
+// runtime and peak heap and scores the result.
+func Table3Designs(ctx context.Context, designs []Design, opts fill.Options) ([]Table3Row, error) {
 	var out []Table3Row
 	for _, d := range designs {
-		n, lay, coeffs := d.Name, d.Lay, d.Coeffs
-		for _, m := range Methods(opts) {
-			var sol *layout.Solution
-			var health *fill.Health
-			sec, mem, err := measure(func() error {
-				var err error
-				sol, health, err = m.Run(ctx, lay)
-				return err
-			})
+		for _, m := range dummyfill.AllMethods(opts) {
+			rep, sol, health, err := dummyfill.RunMethodContext(ctx, m, d.Lay, d.Coeffs)
 			if err != nil {
-				return nil, fmt.Errorf("design %s method %s: %w", n, m.Name, err)
-			}
-			sz, err := gdsii.FromSolution(lay.Name, sol).EncodedSize()
-			if err != nil {
-				return nil, err
-			}
-			raw, err := score.Measure(lay, sol, sz, sec, mem)
-			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("design %s: %w", d.Name, err)
 			}
 			out = append(out, Table3Row{
-				Design: n, Method: m.Name,
-				Report: score.Score(raw, coeffs), Fills: len(sol.Fills),
-				Health: health,
+				Design: d.Name, Method: m.Name,
+				Report: rep, Fills: len(sol.Fills), Health: health,
 			})
 		}
 	}

@@ -9,9 +9,6 @@ import (
 	"dummyfill/internal/fill"
 )
 
-// stubMeasure runs the workload without instrumentation.
-func stubMeasure(f func() error) (float64, float64, error) { return 0, 0, f() }
-
 func TestTable2Tiny(t *testing.T) {
 	rows, err := Table2([]string{"tiny"})
 	if err != nil {
@@ -33,7 +30,7 @@ func TestTable2Tiny(t *testing.T) {
 }
 
 func TestTable3TinyOursWins(t *testing.T) {
-	rows, err := Table3([]string{"tiny"}, fill.DefaultOptions(), stubMeasure)
+	rows, err := Table3([]string{"tiny"}, fill.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,7 @@ import (
 )
 
 // Profiling bundles the standard profiling options shared by the CLIs
-// (repro, fillgen, benchjson): a CPU profile, an exit heap profile and a
+// (repro, fillgen): a CPU profile, an exit heap profile and a
 // live net/http/pprof endpoint. Register the flags, then wrap the work in
 // Start/stop:
 //

@@ -101,12 +101,10 @@ type Cache struct {
 	puts, putErrors       atomic.Int64
 
 	// gcMu serializes in-process GC passes: two concurrent passes over
-	// the same directory would race the walk, double-count removals, and
-	// publish interleaved results. Cross-process GC safety still comes
-	// from whole-file semantics (atomic rename, whole-file deletes), not
-	// from this lock.
-	gcMu   sync.Mutex
-	lastGC GCResult //filllint:guard gcMu
+	// the same directory would race the walk and double-count removals.
+	// Cross-process GC safety still comes from whole-file semantics
+	// (atomic rename, whole-file deletes), not from this lock.
+	gcMu sync.Mutex
 }
 
 // Open returns a cache rooted at dir, creating the directory if needed.

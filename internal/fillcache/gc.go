@@ -56,23 +56,6 @@ type gcFile struct {
 func (c *Cache) GC(maxBytes int64, maxAge time.Duration, now time.Time) (GCResult, error) {
 	c.gcMu.Lock()
 	defer c.gcMu.Unlock()
-	res, err := c.gcLocked(maxBytes, maxAge, now)
-	c.lastGC = res
-	return res, err
-}
-
-// LastGC returns the result of the most recent GC pass made through this
-// handle (zero value if none has run).
-func (c *Cache) LastGC() GCResult {
-	c.gcMu.Lock()
-	defer c.gcMu.Unlock()
-	return c.lastGC
-}
-
-// gcLocked is the GC pass body; the caller holds gcMu.
-//
-//filllint:holds gcMu
-func (c *Cache) gcLocked(maxBytes int64, maxAge time.Duration, now time.Time) (GCResult, error) {
 	var res GCResult
 	var entries []gcFile
 	err := filepath.WalkDir(c.dir, func(path string, d fs.DirEntry, err error) error {

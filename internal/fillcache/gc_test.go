@@ -100,24 +100,6 @@ func TestGCUnbounded(t *testing.T) {
 	}
 }
 
-// TestLastGC checks that each pass publishes its result: ops surfaces
-// (daemon health, CLI) read the most recent trim without re-walking the
-// directory.
-func TestLastGC(t *testing.T) {
-	now := time.Unix(1_700_000_000, 0)
-	c, _, _ := gcCache(t, 4, now)
-	if got := c.LastGC(); got != (GCResult{}) {
-		t.Fatalf("LastGC before any pass: %+v", got)
-	}
-	res, err := c.GC(-1, 0, now)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := c.LastGC(); got != res {
-		t.Fatalf("LastGC %+v does not match the pass result %+v", got, res)
-	}
-}
-
 // TestGCStaleTemps checks temp-file hygiene: debris from a crashed
 // writer is cleaned once old, while a fresh temp (an in-flight Put) is
 // left alone and never counted against the size budget.

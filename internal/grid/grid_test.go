@@ -43,18 +43,6 @@ func TestNewGridErrors(t *testing.T) {
 	}
 }
 
-func TestLocate(t *testing.T) {
-	g, _ := New(geom.R(0, 0, 100, 100), 10)
-	i, j := g.Locate(geom.Point{X: 55, Y: 23})
-	if i != 5 || j != 2 {
-		t.Fatalf("Locate = (%d,%d), want (5,2)", i, j)
-	}
-	i, j = g.Locate(geom.Point{X: -5, Y: 200}) // clamped
-	if i != 0 || j != 9 {
-		t.Fatalf("clamped Locate = (%d,%d), want (0,9)", i, j)
-	}
-}
-
 func TestRangeOverlapping(t *testing.T) {
 	g, _ := New(geom.R(0, 0, 100, 100), 10)
 	var total int64

@@ -613,8 +613,8 @@ func (s *Server) noteAborted(cause string, arrival time.Time) {
 }
 
 // noteHealth folds one job's Health into the window-level counters — the
-// same vocabulary benchjson rows report (degraded windows, fallbacks,
-// plan divergence).
+// same vocabulary the CLIs' health lines report (degraded windows,
+// fallbacks, plan divergence).
 func (s *Server) noteHealth(h fill.Health) {
 	s.met.add("fillserved_windows_total", `kind="sized"`, int64(h.Sized))
 	s.met.add("fillserved_windows_total", `kind="skipped"`, int64(h.Skipped))
